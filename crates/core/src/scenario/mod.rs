@@ -18,6 +18,11 @@
 //! * **repetition** — [`ScenarioBuilder::runs`] executes the scenario over consecutive
 //!   seeds and aggregates the per-run reports into a [`ScenarioReport`].
 //!
+//! Each seeded run is a [`ScenarioRun`]: one simulated-time agenda of workload ticks
+//! and expanded fault steps. The [`ScenarioRunner`] drives it from bootstrap to the end
+//! of its schedule; `sdn-serve` steps one interactively, so both drivers share one
+//! loop and one fault expander ([`FaultEvent::expand`]).
+//!
 //! The old [`SdnNetwork`](crate::SdnNetwork) fault-injection and `run_until_legitimate`
 //! methods remain available as the escape hatch the runner itself is built on.
 //!
@@ -54,10 +59,10 @@ pub use probe::{Probe, ProbeKeyArg, ProbeSeries};
 pub use report::{
     InjectedFault, MetricDelta, RecoveryRecord, ReportDelta, RunReport, ScenarioReport,
 };
-pub use runner::ScenarioRunner;
+pub use runner::{ScenarioRun, ScenarioRunner};
 pub use schedule::{
-    mid_path_link, ControllerSelector, DegradeSpec, Endpoints, FaultContext, FaultEvent,
-    FaultSchedule, LinkSelector, PartitionSpec, SwitchSelector,
+    mid_path_link, partition_cut, ControllerSelector, DegradeSpec, Endpoints, FaultContext,
+    FaultEvent, FaultSchedule, FaultStep, LinkSelector, PartitionSpec, SwitchSelector,
 };
 pub use sdn_metrics::{
     CsvSink, Digest, Fanout, JsonLinesSink, MemorySink, MetricKey, Namespace, Polarity, Recorder,
@@ -111,8 +116,7 @@ impl TopologySpec {
 /// Factory producing a fresh workload instance for each seeded run.
 ///
 /// `Send + Sync` so a scenario can be shared across the parallel runner's worker
-/// threads; the produced [`Workload`] itself is created, driven, and dropped entirely
-/// inside one worker, so it needs no bounds of its own.
+/// threads.
 pub type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
 
 /// An end-of-run summary statistic: a pure function of the final network state.

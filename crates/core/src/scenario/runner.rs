@@ -9,12 +9,13 @@
 //! regression test relies on this).
 
 use super::report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
-use super::schedule::FaultContext;
-use super::workload::{Workload, WorkloadTick};
-use super::{ControlPlane, ProbeSeries, Scenario};
+use super::schedule::{FaultContext, FaultEvent, FaultStep};
+use super::workload::{Workload, WorkloadReport, WorkloadTick};
+use super::{ControlPlane, MetricKey, Probe, ProbeSeries, Scenario, SummaryFn};
 use crate::config::ControllerConfig;
 use crate::harness::SdnNetwork;
 use sdn_netsim::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -31,6 +32,7 @@ const _: () = {
     assert_send::<RunReport>();
     assert_send::<ScenarioReport>();
     assert_send::<SdnNetwork>();
+    assert_send::<ScenarioRun>();
 };
 
 /// Executes a [`Scenario`] over its configured seeds.
@@ -124,43 +126,78 @@ impl<'a> ScenarioRunner<'a> {
             .collect()
     }
 
-    /// Runs the scenario once with an explicit seed.
+    /// Runs the scenario once with an explicit seed: bootstrap, then the scenario's
+    /// workloads and fault schedule on the same [`ScenarioRun`] until its agenda drains.
     pub fn run_seed(&self, seed: u64) -> RunReport {
-        SingleRun::new(self.scenario, seed).execute()
+        let sc = self.scenario;
+        let mut run = ScenarioRun::new(sc, seed);
+        if run.bootstrap().is_some() {
+            run.track_recovery = sc.control_plane == ControlPlane::Live;
+            for factory in &sc.workloads {
+                run.attach(factory());
+            }
+            for (offset, steps) in sc.schedule.batches() {
+                for step in steps {
+                    run.push(run.origin + offset, Entry::Fault(step));
+                }
+            }
+            run.process(None);
+        }
+        run.finish()
     }
 }
 
-/// One agenda entry of the post-bootstrap phase. Offsets are relative to the bootstrap
-/// instant; `order` breaks ties at equal offsets: workload ticks observe the pre-fault
-/// state, then workloads finish, then fault batches fire.
-struct AgendaItem {
-    offset: SimDuration,
-    order: u8,
-    kind: AgendaKind,
-}
-
-enum AgendaKind {
+/// One agenda entry. At equal instants, workload ticks observe the pre-fault state,
+/// then workloads finish, then fault steps fire (the variant order).
+enum Entry {
     Tick { workload: usize, tick: WorkloadTick },
     Finish { workload: usize },
-    Batch { index: usize },
+    Fault(FaultStep),
 }
 
-struct SingleRun<'a> {
-    sc: &'a Scenario,
-    seed: u64,
+/// One seeded run of a [`Scenario`], steppable in simulated time.
+///
+/// One agenda holds workload ticks and finishes and expanded fault steps; recovery
+/// checks, when tracked, interleave with it every `check_every`. The
+/// [`ScenarioRunner`] drives a run from bootstrap until its agenda drains; a
+/// long-running driver such as a service session advances it with
+/// [`step_until`](Self::step_until), adding faults with [`inject`](Self::inject) and
+/// traffic with [`attach`](Self::attach) as it goes.
+pub struct ScenarioRun {
     net: SdnNetwork,
     ctx: FaultContext,
     workloads: Vec<Box<dyn Workload>>,
+    /// Keyed by instant, [`Entry`] variant, and insertion sequence.
+    agenda: BTreeMap<(SimTime, u8, u64), Entry>,
+    pushed: u64,
+    /// Id of the next injected event; ids below it belong to the scenario schedule.
+    next_fault_id: u32,
+    /// The instant fault times are measured from: the bootstrap instant once
+    /// [`bootstrap`](Self::bootstrap) succeeded, time zero before.
+    origin: SimTime,
+    live: bool,
+    /// Whether a fault batch opens a recovery measurement.
+    track_recovery: bool,
+    /// The instant of the batch whose recovery is being measured.
+    awaiting: Option<SimTime>,
+    next_check: SimTime,
+    timeout: SimDuration,
+    check_every: SimDuration,
+    probes: Vec<Probe>,
     probe_series: Vec<ProbeSeries>,
+    sample_every: SimDuration,
     next_probe: Option<SimTime>,
+    summaries: Vec<(MetricKey, SummaryFn)>,
     /// The run's logical clock: equals the simulator clock in live mode, advances
     /// virtually past the bootstrap instant in frozen mode.
     clock: SimTime,
     report: RunReport,
 }
 
-impl<'a> SingleRun<'a> {
-    fn new(sc: &'a Scenario, seed: u64) -> Self {
+impl ScenarioRun {
+    /// Builds the scenario's network for `seed`, at time zero and not yet
+    /// bootstrapped, with nothing attached or scheduled.
+    pub fn new(sc: &Scenario, seed: u64) -> Self {
         let topology = sc.topology.build(sc.controllers);
         let controller_config = sc.controller_config.unwrap_or_else(|| {
             ControllerConfig::for_network(topology.controller_count(), topology.switch_count())
@@ -169,26 +206,31 @@ impl<'a> SingleRun<'a> {
             Some(tune) => tune(controller_config),
             None => controller_config,
         };
-        let harness = sc.harness.with_seed(seed);
-        let net = SdnNetwork::new(topology, controller_config, harness);
-        let probe_series = sc
-            .probes
-            .iter()
-            .map(|p| ProbeSeries::new(p.key().clone()))
-            .collect();
-        let next_probe = if sc.probes.is_empty() {
-            None
-        } else {
-            Some(net.now())
-        };
-        SingleRun {
-            sc,
-            seed,
+        let net = SdnNetwork::new(topology, controller_config, sc.harness.with_seed(seed));
+        let next_probe = (!sc.probes.is_empty()).then(|| net.now());
+        ScenarioRun {
             net,
             ctx: FaultContext::new(seed),
-            workloads: sc.workloads.iter().map(|factory| factory()).collect(),
-            probe_series,
+            workloads: Vec::new(),
+            agenda: BTreeMap::new(),
+            pushed: 0,
+            next_fault_id: sc.schedule.len() as u32,
+            origin: SimTime::ZERO,
+            live: sc.control_plane == ControlPlane::Live,
+            track_recovery: false,
+            awaiting: None,
+            next_check: SimTime::ZERO,
+            timeout: sc.timeout,
+            check_every: sc.check_every,
+            probes: sc.probes.clone(),
+            probe_series: sc
+                .probes
+                .iter()
+                .map(|p| ProbeSeries::new(p.key().clone()))
+                .collect(),
+            sample_every: sc.sample_every,
             next_probe,
+            summaries: sc.summaries.clone(),
             clock: SimTime::ZERO,
             report: RunReport {
                 seed,
@@ -197,165 +239,200 @@ impl<'a> SingleRun<'a> {
         }
     }
 
-    fn execute(mut self) -> RunReport {
-        let bootstrap = self.bootstrap();
-        self.report.bootstrap_s = bootstrap.map(|d| d.as_secs_f64());
-        if bootstrap.is_some() {
-            self.post_bootstrap();
-        }
-        self.finalize()
-    }
-
-    /// Phase A: from the initial (empty-configuration) state to the first legitimate
-    /// state. Semantically identical to `SdnNetwork::run_until_legitimate` — legitimacy
-    /// is checked every `check_every` — with probe samples interleaved.
+    /// Runs from the initial (empty-configuration) state to the first legitimate state,
+    /// checking legitimacy every `check_every` (semantically identical to
+    /// `SdnNetwork::run_until_legitimate`, with probe samples interleaved). On success
+    /// the bootstrap instant becomes the origin of fault times.
     fn bootstrap(&mut self) -> Option<SimDuration> {
         let started = self.net.now();
-        let deadline = started + self.sc.timeout;
-        loop {
+        let deadline = started + self.timeout;
+        let elapsed = loop {
             if self.net.is_legitimate() {
-                return Some(self.net.now() - started);
+                self.origin = self.net.now();
+                break Some(self.net.now() - started);
             }
             if self.net.now() >= deadline {
-                return None;
+                break None;
             }
-            let target = self.net.now() + self.sc.check_every;
+            let target = self.net.now() + self.check_every;
             self.advance_to(target, true);
-        }
+        };
+        self.report.bootstrap_s = elapsed.map(|d| d.as_secs_f64());
+        elapsed
     }
 
-    /// Phase B: workloads, scheduled faults, and recovery measurements, all relative to
-    /// the bootstrap instant.
-    fn post_bootstrap(&mut self) {
-        let origin = self.net.now();
-        let live = self.sc.control_plane == ControlPlane::Live;
+    /// Advances the run to `t`, handling every agenda entry and recovery check due
+    /// on the way in order.
+    pub fn step_until(&mut self, t: SimTime) {
+        self.process(Some(t));
+        self.advance_to(t, self.live);
+    }
 
-        for workload in &mut self.workloads {
-            workload.start(&mut self.net);
-        }
-        let agenda = self.build_agenda();
-        let batches = self.sc.schedule.batches();
-
-        let mut idx = 0usize;
-        // Time of the fault batch we are currently measuring recovery for, plus the
-        // instant of its next legitimacy check.
-        let mut awaiting: Option<SimTime> = None;
-        let mut next_check = SimTime::ZERO;
-        loop {
-            let agenda_at = agenda.get(idx).map(|item| origin + item.offset);
-            // A check step carries the fault instant it is measuring recovery for, so
-            // no later lookup into `awaiting` is needed (or can be wrong).
-            let check_at = if live {
-                awaiting.map(|since| (next_check, since))
+    /// Injects `event` now through [`FaultEvent::expand`], the expander the scenario
+    /// schedule uses: steps due now apply at once, later phases join the agenda.
+    /// Returns what the immediate steps did.
+    pub fn inject(&mut self, event: &FaultEvent) -> Vec<String> {
+        self.next_fault_id += 1;
+        let mut now = Vec::new();
+        for (delay, step) in event.expand(self.next_fault_id - 1) {
+            if delay.is_zero() {
+                now.push(step);
             } else {
-                None
+                self.push(self.clock + delay, Entry::Fault(step));
+            }
+        }
+        self.fire(self.clock, &now)
+    }
+
+    /// Starts `workload` now and schedules its ticks every
+    /// [`tick_interval`](Workload::tick_interval) over its window, then its finish.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload's tick interval is zero.
+    pub fn attach(&mut self, mut workload: Box<dyn Workload>) {
+        let interval = workload.tick_interval();
+        assert!(
+            !interval.is_zero(),
+            "workload '{}' has a zero tick interval",
+            workload.label()
+        );
+        workload.start(&mut self.net);
+        let index = self.workloads.len();
+        let ticks = workload.duration().as_micros() / interval.as_micros();
+        let mut offset = SimDuration::ZERO;
+        for k in 1..=ticks {
+            offset += interval;
+            let tick = WorkloadTick {
+                index: k as u32,
+                elapsed: offset,
             };
-            let step = match (agenda_at, check_at) {
-                (None, None) => break,
-                (Some(a), Some((c, since))) if c <= a => Step::Check(c, since),
-                (Some(a), _) => Step::Agenda(a),
-                (None, Some((c, since))) => Step::Check(c, since),
+            let entry = Entry::Tick {
+                workload: index,
+                tick,
             };
-            match step {
-                Step::Check(at, since) => {
-                    self.advance_to(at, live);
-                    if self.net.is_legitimate() {
-                        self.report.recoveries.push(RecoveryRecord {
-                            fault_at_s: (since - origin).as_secs_f64(),
-                            recovered_in_s: Some((at - since).as_secs_f64()),
-                        });
-                        awaiting = None;
-                    } else if at >= since + self.sc.timeout {
-                        self.report.recoveries.push(RecoveryRecord {
-                            fault_at_s: (since - origin).as_secs_f64(),
-                            recovered_in_s: None,
-                        });
-                        awaiting = None;
-                    } else {
-                        next_check = at + self.sc.check_every;
-                    }
+            self.push(self.clock + offset, entry);
+        }
+        self.push(self.clock + offset, Entry::Finish { workload: index });
+        self.workloads.push(workload);
+    }
+
+    /// The network under simulation.
+    pub fn network(&self) -> &SdnNetwork {
+        &self.net
+    }
+
+    /// The fault executor's state: last victims and partitions in force.
+    pub fn faults(&self) -> &FaultContext {
+        &self.ctx
+    }
+
+    /// Fault steps scheduled but not yet applied.
+    pub fn pending_faults(&self) -> usize {
+        let faults = self.agenda.values();
+        faults.filter(|e| matches!(e, Entry::Fault(_))).count()
+    }
+
+    /// Attached workloads that have not finished yet.
+    pub fn running_workloads(&self) -> usize {
+        self.workloads.len() - self.report.workloads.len()
+    }
+
+    /// The reports of finished workloads, in finish order.
+    pub fn workload_reports(&self) -> &[WorkloadReport] {
+        &self.report.workloads
+    }
+
+    fn push(&mut self, at: SimTime, entry: Entry) {
+        let order = match entry {
+            Entry::Tick { .. } => 0,
+            Entry::Finish { .. } => 1,
+            Entry::Fault(_) => 2,
+        };
+        self.agenda.insert((at, order, self.pushed), entry);
+        self.pushed += 1;
+    }
+
+    /// Handles, in order, every agenda entry and recovery check due at or before
+    /// `until` (all of them when `None`). A check wins a tie with an agenda entry, and
+    /// all fault steps due at one instant fire together as one batch.
+    fn process(&mut self, until: Option<SimTime>) {
+        loop {
+            let agenda_at = self.agenda.keys().next().map(|&(at, ..)| at);
+            let check = self
+                .awaiting
+                .filter(|_| agenda_at.is_none_or(|at| self.next_check <= at));
+            let Some(at) = check.map(|_| self.next_check).or(agenda_at) else {
+                return;
+            };
+            if until.is_some_and(|t| at > t) {
+                return;
+            }
+            self.advance_to(at, self.live);
+            if let Some(since) = check {
+                let legitimate = self.net.is_legitimate();
+                if legitimate || at >= since + self.timeout {
+                    self.awaiting = None;
+                    self.close_recovery(since, legitimate.then(|| (at - since).as_secs_f64()));
+                } else {
+                    self.next_check = at + self.check_every;
                 }
-                Step::Agenda(at) => {
-                    self.advance_to(at, live);
-                    let item = &agenda[idx];
-                    idx += 1;
-                    match item.kind {
-                        AgendaKind::Tick { workload, tick } => {
-                            self.workloads[workload].tick(&mut self.net, tick);
-                        }
-                        AgendaKind::Finish { workload } => {
-                            let report = self.workloads[workload].finish(&mut self.net);
-                            self.report.workloads.push(report);
-                        }
-                        AgendaKind::Batch { index } => {
-                            // A new batch interrupts any still-pending recovery wait.
-                            if let Some(since) = awaiting.take() {
-                                self.report.recoveries.push(RecoveryRecord {
-                                    fault_at_s: (since - origin).as_secs_f64(),
-                                    recovered_in_s: None,
-                                });
-                            }
-                            let (offset, events) = &batches[index];
-                            for event in events {
-                                for description in self.ctx.apply(&mut self.net, event) {
-                                    self.report.injected.push(InjectedFault {
-                                        at_s: offset.as_secs_f64(),
-                                        description,
-                                    });
-                                }
-                            }
-                            if live {
-                                awaiting = Some(at);
-                                next_check = at;
-                            }
+                continue;
+            }
+            let Some((_, entry)) = self.agenda.pop_first() else {
+                return;
+            };
+            match entry {
+                Entry::Tick { workload, tick } => {
+                    self.workloads[workload].tick(&mut self.net, tick);
+                }
+                Entry::Finish { workload } => {
+                    let report = self.workloads[workload].finish(&mut self.net);
+                    self.report.workloads.push(report);
+                }
+                Entry::Fault(step) => {
+                    let mut batch = vec![step];
+                    while self.agenda.keys().next().is_some_and(|k| k.0 == at) {
+                        if let Some((_, Entry::Fault(step))) = self.agenda.pop_first() {
+                            batch.push(step);
                         }
                     }
+                    self.fire(at, &batch);
                 }
             }
         }
     }
 
-    /// Builds the sorted post-bootstrap agenda from workload windows and fault batches.
-    fn build_agenda(&self) -> Vec<AgendaItem> {
-        let mut items = Vec::new();
-        for (wi, workload) in self.workloads.iter().enumerate() {
-            let interval = workload.tick_interval();
-            assert!(
-                !interval.is_zero(),
-                "workload '{}' has a zero tick interval",
-                workload.label()
-            );
-            let ticks = workload.duration().as_micros() / interval.as_micros();
-            let mut offset = SimDuration::ZERO;
-            for k in 1..=ticks {
-                offset += interval;
-                items.push(AgendaItem {
-                    offset,
-                    order: 0,
-                    kind: AgendaKind::Tick {
-                        workload: wi,
-                        tick: WorkloadTick {
-                            index: k as u32,
-                            elapsed: offset,
-                        },
-                    },
-                });
+    /// Records the end of the recovery measurement for the batch at `since`.
+    fn close_recovery(&mut self, since: SimTime, recovered_in_s: Option<f64>) {
+        self.report.recoveries.push(RecoveryRecord {
+            fault_at_s: (since - self.origin).as_secs_f64(),
+            recovered_in_s,
+        });
+    }
+
+    /// Applies one batch of fault steps at `at`, records what they did, and (when
+    /// tracking recovery) opens a recovery measurement that interrupts any still
+    /// pending one.
+    fn fire(&mut self, at: SimTime, steps: &[FaultStep]) -> Vec<String> {
+        if self.track_recovery {
+            if let Some(since) = self.awaiting.replace(at) {
+                self.close_recovery(since, None);
             }
-            items.push(AgendaItem {
-                offset,
-                order: 1,
-                kind: AgendaKind::Finish { workload: wi },
-            });
+            self.next_check = at;
         }
-        for (bi, (offset, _)) in self.sc.schedule.batches().iter().enumerate() {
-            items.push(AgendaItem {
-                offset: *offset,
-                order: 2,
-                kind: AgendaKind::Batch { index: bi },
-            });
+        let at_s = (at - self.origin).as_secs_f64();
+        let mut done = Vec::new();
+        for step in steps {
+            for description in self.ctx.apply(&mut self.net, step) {
+                self.report.injected.push(InjectedFault {
+                    at_s,
+                    description: description.clone(),
+                });
+                done.push(description);
+            }
         }
-        items.sort_by_key(|item| (item.offset, item.order));
-        items
+        done
     }
 
     /// Brings the run to `target`: samples every probe instant up to `target`, and (in
@@ -369,10 +446,10 @@ impl<'a> SingleRun<'a> {
             if live {
                 self.net.run_until(at);
             }
-            for (probe, series) in self.sc.probes.iter().zip(&mut self.probe_series) {
+            for (probe, series) in self.probes.iter().zip(&mut self.probe_series) {
                 series.push(at.as_secs_f64(), probe.sample(&self.net));
             }
-            self.next_probe = Some(at + self.sc.sample_every);
+            self.next_probe = Some(at + self.sample_every);
         }
         if live {
             self.net.run_until(target);
@@ -380,24 +457,17 @@ impl<'a> SingleRun<'a> {
         self.clock = self.clock.max(target);
     }
 
-    /// One last probe sample at the end of the run, so every series reflects the final
-    /// state even when the run ends between two scheduled samples.
-    fn sample_probes_at_end(&mut self) {
-        if self.sc.probes.is_empty() {
-            return;
-        }
+    /// Ends the run: one last probe sample (so every series reflects the final state
+    /// even when the run ends between two scheduled samples), the summaries, and the
+    /// end-of-run observables.
+    fn finish(mut self) -> RunReport {
         let at = self.clock.as_secs_f64();
-        if self.probe_series[0].times_s.last() == Some(&at) {
-            return;
+        if !self.probes.is_empty() && self.probe_series[0].times_s.last() != Some(&at) {
+            for (probe, series) in self.probes.iter().zip(&mut self.probe_series) {
+                series.push(at, probe.sample(&self.net));
+            }
         }
-        for (probe, series) in self.sc.probes.iter().zip(&mut self.probe_series) {
-            series.push(at, probe.sample(&self.net));
-        }
-    }
-
-    fn finalize(mut self) -> RunReport {
-        self.sample_probes_at_end();
-        for (key, f) in &self.sc.summaries {
+        for (key, f) in &self.summaries {
             self.report.summaries.push((key.clone(), f(&self.net)));
         }
         self.report.probes = self.probe_series;
@@ -407,15 +477,8 @@ impl<'a> SingleRun<'a> {
         self.report.messages_sent = self.net.metrics().total_sent();
         self.report.events_processed = self.net.sim().events_processed();
         self.report.sim_end_s = self.net.now().as_secs_f64();
-        self.report.seed = self.seed;
         self.report
     }
-}
-
-enum Step {
-    Agenda(SimTime),
-    /// Legitimacy check at `.0`, measuring recovery from the fault at `.1`.
-    Check(SimTime, SimTime),
 }
 
 #[cfg(test)]

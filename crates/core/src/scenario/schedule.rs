@@ -211,20 +211,19 @@ pub enum FaultEvent {
     /// the default behaviour.
     RestoreLinkQuality(LinkSelector),
     /// Cuts the network into groups by transiently failing every crossing link.
-    /// With `heal_after` set, [`FaultSchedule::batches`] schedules a matching
-    /// [`FaultEvent::HealPartition`] that much later.
+    /// With `heal_after` set, the expander ([`FaultEvent::expand`]) schedules the
+    /// heal of exactly this partition's cut that much later.
     Partition {
         /// How the groups are chosen.
         groups: PartitionSpec,
         /// Delay until the automatic heal, measured from the partition instant.
         heal_after: Option<SimDuration>,
     },
-    /// Restores every link cut by the most recent `Partition` event.
+    /// Restores every link cut by the most recent partition still in force.
     HealPartition,
     /// A link that goes down and comes back `count` times, `period` apart (down
-    /// for the first half of each period). Expanded by [`FaultSchedule::batches`]
-    /// into [`FaultEvent::FlapPhase`] pairs; the selector is resolved once, on
-    /// the first down-phase, so every flap hits the same links.
+    /// for the first half of each period). The selector is resolved once, on the
+    /// first down-phase, so every flap hits the same links.
     FlapLink {
         /// Which link(s) flap.
         selector: LinkSelector,
@@ -233,20 +232,9 @@ pub enum FaultEvent {
         /// Number of cycles.
         count: u32,
     },
-    /// One half-cycle of an expanded [`FaultEvent::FlapLink`]. Generated by
-    /// [`FaultSchedule::batches`]; schedule `FlapLink` instead of this directly.
-    FlapPhase {
-        /// Identifier tying the phases of one flapping link together.
-        flap: u32,
-        /// The original selector, resolved on the first down-phase.
-        selector: LinkSelector,
-        /// `true` for the down half-cycle, `false` for the up half-cycle.
-        down: bool,
-    },
     /// A rolling restart of the controller fleet: controllers at indices
     /// `0..count` fail-stop one at a time, `interval` apart, each reviving with
-    /// fresh state after `down_for` (the rolling-upgrade drill). Expanded by
-    /// [`FaultSchedule::batches`] into fail/revive pairs.
+    /// fresh state after `down_for` (the rolling-upgrade drill).
     RollingControllerRestart {
         /// Gap between consecutive controller restarts.
         interval: SimDuration,
@@ -255,8 +243,141 @@ pub enum FaultEvent {
         /// How many controllers restart (clamped to the fleet size at apply time).
         count: usize,
     },
-    /// Revives the controller at this index of [`SdnNetwork::controller_ids`]
-    /// with fresh state. Generated by the `RollingControllerRestart` expansion.
+}
+
+impl FaultEvent {
+    /// Expands the event into the primitive steps [`FaultContext::apply`] executes,
+    /// each at an offset from the event's own instant. This is the one expander
+    /// behind both [`FaultSchedule::batches`] and
+    /// [`ScenarioRun::inject`](super::ScenarioRun::inject): a `FlapLink` becomes
+    /// down/up phase pairs, a `RollingControllerRestart` staggered fail/revive
+    /// pairs, and a `Partition` with `heal_after` its cut plus the matching heal.
+    /// `id` must be unique among the events of one run: phases sharing it resolve
+    /// their flap victims once and heal their own partition's cut.
+    pub fn expand(&self, id: u32) -> Vec<(SimDuration, FaultStep)> {
+        let step = match self.clone() {
+            FaultEvent::FailController(selector) => FaultStep::FailController(selector),
+            FaultEvent::FailSwitch(selector) => FaultStep::FailSwitch(selector),
+            FaultEvent::RemoveLink(selector) => FaultStep::RemoveLink(selector),
+            FaultEvent::FailLink(selector) => FaultStep::FailLink(selector),
+            FaultEvent::RestoreLink(a, b) => FaultStep::RestoreLink(a, b),
+            FaultEvent::RestoreLastFailedLinks => FaultStep::RestoreLastFailedLinks,
+            FaultEvent::AddLink(a, b) => FaultStep::AddLink(a, b),
+            FaultEvent::ReviveController(node) => FaultStep::ReviveController(node),
+            FaultEvent::ReviveLastFailedController => FaultStep::ReviveLastFailedController,
+            FaultEvent::ReviveSwitch(node) => FaultStep::ReviveSwitch(node),
+            FaultEvent::ReviveLastFailedSwitch => FaultStep::ReviveLastFailedSwitch,
+            FaultEvent::CorruptState(plan) => FaultStep::CorruptState(plan),
+            FaultEvent::DegradeLink(selector, spec) => FaultStep::DegradeLink(selector, spec),
+            FaultEvent::RestoreLinkQuality(selector) => FaultStep::RestoreLinkQuality(selector),
+            FaultEvent::HealPartition => FaultStep::HealPartition { key: None },
+            FaultEvent::Partition { groups, heal_after } => {
+                let mut steps = vec![(SimDuration::ZERO, FaultStep::Partition { key: id, groups })];
+                if let Some(delay) = heal_after {
+                    steps.push((delay, FaultStep::HealPartition { key: Some(id) }));
+                }
+                return steps;
+            }
+            FaultEvent::FlapLink {
+                selector,
+                period,
+                count,
+            } => {
+                let period_us = period.as_micros();
+                let phase = |down| FaultStep::FlapPhase {
+                    flap: id,
+                    selector,
+                    down,
+                };
+                return (0..u64::from(count))
+                    .flat_map(|i| {
+                        let down_at = SimDuration::from_micros(period_us * i);
+                        let up_at = down_at + SimDuration::from_micros(period_us / 2);
+                        [(down_at, phase(true)), (up_at, phase(false))]
+                    })
+                    .collect();
+            }
+            FaultEvent::RollingControllerRestart {
+                interval,
+                down_for,
+                count,
+            } => {
+                let interval_us = interval.as_micros();
+                return (0..count)
+                    .flat_map(|i| {
+                        let fail_at = SimDuration::from_micros(interval_us * i as u64);
+                        [
+                            (
+                                fail_at,
+                                FaultStep::FailController(ControllerSelector::Index(i)),
+                            ),
+                            (fail_at + down_for, FaultStep::ReviveControllerIndex(i)),
+                        ]
+                    })
+                    .collect();
+            }
+        };
+        vec![(SimDuration::ZERO, step)]
+    }
+}
+
+/// One primitive fault action, as [`FaultEvent::expand`] produces and
+/// [`FaultContext::apply`] executes it. Most variants mirror the [`FaultEvent`] of the
+/// same name; the rest are phases of compound events.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FaultStep {
+    /// See [`FaultEvent::FailController`].
+    FailController(ControllerSelector),
+    /// See [`FaultEvent::FailSwitch`].
+    FailSwitch(SwitchSelector),
+    /// See [`FaultEvent::RemoveLink`].
+    RemoveLink(LinkSelector),
+    /// See [`FaultEvent::FailLink`].
+    FailLink(LinkSelector),
+    /// See [`FaultEvent::RestoreLink`].
+    RestoreLink(NodeId, NodeId),
+    /// See [`FaultEvent::RestoreLastFailedLinks`].
+    RestoreLastFailedLinks,
+    /// See [`FaultEvent::AddLink`].
+    AddLink(NodeId, NodeId),
+    /// See [`FaultEvent::ReviveController`].
+    ReviveController(NodeId),
+    /// See [`FaultEvent::ReviveLastFailedController`].
+    ReviveLastFailedController,
+    /// See [`FaultEvent::ReviveSwitch`].
+    ReviveSwitch(NodeId),
+    /// See [`FaultEvent::ReviveLastFailedSwitch`].
+    ReviveLastFailedSwitch,
+    /// See [`FaultEvent::CorruptState`].
+    CorruptState(CorruptionPlan),
+    /// See [`FaultEvent::DegradeLink`].
+    DegradeLink(LinkSelector, DegradeSpec),
+    /// See [`FaultEvent::RestoreLinkQuality`].
+    RestoreLinkQuality(LinkSelector),
+    /// Cuts a partition and remembers its cut set under `key`.
+    Partition {
+        /// The expanding event's id.
+        key: u32,
+        /// How the groups are chosen.
+        groups: PartitionSpec,
+    },
+    /// Restores the cut of the partition expanded under `key`, or of the most
+    /// recent partition still in force when `key` is `None`.
+    HealPartition {
+        /// The partition to heal.
+        key: Option<u32>,
+    },
+    /// One half-cycle of a [`FaultEvent::FlapLink`].
+    FlapPhase {
+        /// The expanding event's id, tying the phases of one flap together.
+        flap: u32,
+        /// The original selector, resolved on the first down-phase.
+        selector: LinkSelector,
+        /// `true` for the down half-cycle, `false` for the up half-cycle.
+        down: bool,
+    },
+    /// Revives the controller at this index of [`SdnNetwork::controller_ids`] with
+    /// fresh state: the second half of a [`FaultEvent::RollingControllerRestart`].
     ReviveControllerIndex(usize),
 }
 
@@ -302,81 +423,22 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// The events grouped into batches by offset, sorted by offset (stable: insertion
-    /// order is kept within a batch).
-    ///
-    /// Compound events are expanded here: `FlapLink` becomes `FlapPhase` pairs
-    /// (the flap id is the event's insertion index, so repeated phases share
-    /// their resolved victims), `Partition { heal_after: Some(..) }` gains a
-    /// `HealPartition`, and `RollingControllerRestart` becomes staggered
-    /// fail/revive pairs.
-    pub fn batches(&self) -> Vec<(SimDuration, Vec<FaultEvent>)> {
-        let mut expanded: Vec<(SimDuration, FaultEvent)> = Vec::new();
+    /// The events expanded ([`FaultEvent::expand`], with each event's insertion index
+    /// as its id) and grouped into batches by offset, sorted by offset (stable:
+    /// insertion order is kept within a batch).
+    pub fn batches(&self) -> Vec<(SimDuration, Vec<FaultStep>)> {
+        let mut expanded: Vec<(SimDuration, FaultStep)> = Vec::new();
         for (idx, (offset, event)) in self.events.iter().enumerate() {
-            match event {
-                FaultEvent::FlapLink {
-                    selector,
-                    period,
-                    count,
-                } => {
-                    let period_us = period.as_micros();
-                    for i in 0..*count {
-                        let down_at = *offset + SimDuration::from_micros(period_us * i as u64);
-                        let up_at = down_at + SimDuration::from_micros(period_us / 2);
-                        expanded.push((
-                            down_at,
-                            FaultEvent::FlapPhase {
-                                flap: idx as u32,
-                                selector: *selector,
-                                down: true,
-                            },
-                        ));
-                        expanded.push((
-                            up_at,
-                            FaultEvent::FlapPhase {
-                                flap: idx as u32,
-                                selector: *selector,
-                                down: false,
-                            },
-                        ));
-                    }
-                }
-                FaultEvent::Partition { groups, heal_after } => {
-                    expanded.push((
-                        *offset,
-                        FaultEvent::Partition {
-                            groups: groups.clone(),
-                            heal_after: *heal_after,
-                        },
-                    ));
-                    if let Some(delay) = heal_after {
-                        expanded.push((*offset + *delay, FaultEvent::HealPartition));
-                    }
-                }
-                FaultEvent::RollingControllerRestart {
-                    interval,
-                    down_for,
-                    count,
-                } => {
-                    let interval_us = interval.as_micros();
-                    for i in 0..*count {
-                        let fail_at = *offset + SimDuration::from_micros(interval_us * i as u64);
-                        expanded.push((
-                            fail_at,
-                            FaultEvent::FailController(ControllerSelector::Index(i)),
-                        ));
-                        expanded.push((fail_at + *down_for, FaultEvent::ReviveControllerIndex(i)));
-                    }
-                }
-                other => expanded.push((*offset, other.clone())),
+            for (delay, step) in event.expand(idx as u32) {
+                expanded.push((*offset + delay, step));
             }
         }
         expanded.sort_by_key(|&(offset, _)| offset);
-        let mut batches: Vec<(SimDuration, Vec<FaultEvent>)> = Vec::new();
-        for (offset, event) in expanded {
+        let mut batches: Vec<(SimDuration, Vec<FaultStep>)> = Vec::new();
+        for (offset, step) in expanded {
             match batches.last_mut() {
-                Some((at, events)) if *at == offset => events.push(event),
-                _ => batches.push((offset, vec![event])),
+                Some((at, steps)) if *at == offset => steps.push(step),
+                _ => batches.push((offset, vec![step])),
             }
         }
         batches
@@ -398,8 +460,9 @@ pub struct FaultContext {
     pub last_failed_switch: Option<NodeId>,
     /// Links degraded by the most recent `DegradeLink` event.
     pub last_degraded_links: Vec<(NodeId, NodeId)>,
-    /// Links cut by the most recent `Partition` event, restored by `HealPartition`.
-    pub partitioned_links: Vec<(NodeId, NodeId)>,
+    /// Cut sets of the partitions in force, in cut order, keyed by the id of the
+    /// event that expanded into them.
+    partitions: Vec<(u32, Vec<(NodeId, NodeId)>)>,
     /// Victims of each flapping link, resolved on its first down-phase so every
     /// subsequent phase of the same flap hits the same links.
     flap_targets: BTreeMap<u32, Vec<(NodeId, NodeId)>>,
@@ -416,37 +479,44 @@ impl FaultContext {
             last_failed_controller: None,
             last_failed_switch: None,
             last_degraded_links: Vec::new(),
-            partitioned_links: Vec::new(),
+            partitions: Vec::new(),
             flap_targets: BTreeMap::new(),
         }
     }
 
-    /// Applies one event to `net`, resolving selectors, and returns a human-readable
+    /// Links cut by the partitions in force, in cut order.
+    pub fn partitioned_links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.partitions
+            .iter()
+            .flat_map(|(_, cut)| cut.iter().copied())
+    }
+
+    /// Applies one step to `net`, resolving selectors, and returns a human-readable
     /// description of everything that was actually done.
-    pub fn apply(&mut self, net: &mut SdnNetwork, event: &FaultEvent) -> Vec<String> {
+    pub fn apply(&mut self, net: &mut SdnNetwork, step: &FaultStep) -> Vec<String> {
         let mut done = Vec::new();
-        match event {
-            FaultEvent::FailController(selector) => {
+        match step {
+            FaultStep::FailController(selector) => {
                 for victim in self.resolve_controllers(net, *selector) {
                     net.fail_controller(victim);
                     self.last_failed_controller = Some(victim);
                     done.push(format!("fail-stop controller {victim}"));
                 }
             }
-            FaultEvent::FailSwitch(selector) => {
+            FaultStep::FailSwitch(selector) => {
                 if let Some(victim) = self.resolve_switch(net, *selector) {
                     net.fail_switch(victim);
                     self.last_failed_switch = Some(victim);
                     done.push(format!("fail-stop switch {victim}"));
                 }
             }
-            FaultEvent::RemoveLink(selector) => {
+            FaultStep::RemoveLink(selector) => {
                 for (a, b) in self.resolve_links(net, *selector) {
                     net.remove_link(a, b);
                     done.push(format!("remove link {a}-{b}"));
                 }
             }
-            FaultEvent::FailLink(selector) => {
+            FaultStep::FailLink(selector) => {
                 let links = self.resolve_links(net, *selector);
                 if !links.is_empty() {
                     self.last_failed_links = links.clone();
@@ -456,49 +526,49 @@ impl FaultContext {
                     done.push(format!("fail link {a}-{b}"));
                 }
             }
-            FaultEvent::RestoreLink(a, b) => {
+            FaultStep::RestoreLink(a, b) => {
                 let (a, b) = (*a, *b);
                 net.restore_link(a, b);
                 done.push(format!("restore link {a}-{b}"));
             }
-            FaultEvent::RestoreLastFailedLinks => {
+            FaultStep::RestoreLastFailedLinks => {
                 for (a, b) in std::mem::take(&mut self.last_failed_links) {
                     net.restore_link(a, b);
                     done.push(format!("restore link {a}-{b}"));
                 }
             }
-            FaultEvent::AddLink(a, b) => {
+            FaultStep::AddLink(a, b) => {
                 let (a, b) = (*a, *b);
                 net.add_link(a, b);
                 done.push(format!("add link {a}-{b}"));
             }
-            FaultEvent::ReviveController(id) => {
+            FaultStep::ReviveController(id) => {
                 let id = *id;
                 net.revive_controller(id);
                 done.push(format!("revive controller {id}"));
             }
-            FaultEvent::ReviveLastFailedController => {
+            FaultStep::ReviveLastFailedController => {
                 if let Some(id) = self.last_failed_controller.take() {
                     net.revive_controller(id);
                     done.push(format!("revive controller {id}"));
                 }
             }
-            FaultEvent::ReviveSwitch(id) => {
+            FaultStep::ReviveSwitch(id) => {
                 let id = *id;
                 net.revive_switch(id);
                 done.push(format!("revive switch {id}"));
             }
-            FaultEvent::ReviveLastFailedSwitch => {
+            FaultStep::ReviveLastFailedSwitch => {
                 if let Some(id) = self.last_failed_switch.take() {
                     net.revive_switch(id);
                     done.push(format!("revive switch {id}"));
                 }
             }
-            FaultEvent::CorruptState(plan) => {
+            FaultStep::CorruptState(plan) => {
                 let mutations = self.injector.corrupt(net, *plan);
                 done.push(format!("corrupt state ({mutations} mutations)"));
             }
-            FaultEvent::DegradeLink(selector, spec) => {
+            FaultStep::DegradeLink(selector, spec) => {
                 let links = self.resolve_links(net, *selector);
                 if !links.is_empty() {
                     self.last_degraded_links = links.clone();
@@ -515,13 +585,13 @@ impl FaultContext {
                     done.push(format!("degrade link {a}-{b} ({what}{note})"));
                 }
             }
-            FaultEvent::RestoreLinkQuality(selector) => {
+            FaultStep::RestoreLinkQuality(selector) => {
                 for (a, b) in self.resolve_links(net, *selector) {
                     net.clear_link_config(a, b);
                     done.push(format!("restore link quality {a}-{b}"));
                 }
             }
-            FaultEvent::Partition { groups, .. } => {
+            FaultStep::Partition { key, groups } => {
                 let cut = partition_cut(net, groups);
                 let n_groups = match groups {
                     PartitionSpec::Halves => 2,
@@ -534,30 +604,21 @@ impl FaultContext {
                     "partition into {n_groups} groups ({} links cut)",
                     cut.len()
                 ));
-                self.partitioned_links = cut;
+                self.partitions.push((*key, cut));
             }
-            FaultEvent::HealPartition => {
-                let links = std::mem::take(&mut self.partitioned_links);
+            FaultStep::HealPartition { key } => {
+                let index = match key {
+                    Some(key) => self.partitions.iter().position(|(k, _)| k == key),
+                    None => self.partitions.len().checked_sub(1),
+                };
+                let links = index.map_or_else(Vec::new, |i| self.partitions.remove(i).1);
                 let n = links.len();
                 for (a, b) in links {
                     net.restore_link(a, b);
                 }
                 done.push(format!("heal partition ({n} links restored)"));
             }
-            FaultEvent::FlapLink { selector, .. } => {
-                // Compound event: `batches()` expands it into `FlapPhase`s; applying
-                // it directly (e.g. a schedule handed around unexpanded) does the
-                // first down-phase so the fault is at least visible.
-                done.extend(self.apply(
-                    net,
-                    &FaultEvent::FlapPhase {
-                        flap: u32::MAX,
-                        selector: *selector,
-                        down: true,
-                    },
-                ));
-            }
-            FaultEvent::FlapPhase {
+            FaultStep::FlapPhase {
                 flap,
                 selector,
                 down,
@@ -581,15 +642,7 @@ impl FaultContext {
                     }
                 }
             }
-            FaultEvent::RollingControllerRestart { .. } => {
-                // Compound event: expanded by `batches()`. Applied directly it
-                // restarts the first controller immediately.
-                done.extend(self.apply(
-                    net,
-                    &FaultEvent::FailController(ControllerSelector::Index(0)),
-                ));
-            }
-            FaultEvent::ReviveControllerIndex(i) => {
+            FaultStep::ReviveControllerIndex(i) => {
                 if let Some(&id) = net.controller_ids().get(*i) {
                     net.revive_controller(id);
                     done.push(format!("revive controller {id} (rolling restart)"));
@@ -684,7 +737,7 @@ impl FaultContext {
 /// first two live controllers by multi-source BFS with ties to the first seed —
 /// the lexicographic `(distance, seed)` assignment makes every region connected,
 /// so each half keeps a working in-band control plane while partitioned.
-fn partition_cut(net: &SdnNetwork, spec: &PartitionSpec) -> Vec<(NodeId, NodeId)> {
+pub fn partition_cut(net: &SdnNetwork, spec: &PartitionSpec) -> Vec<(NodeId, NodeId)> {
     let graph = net.sim().topology();
     let mut group: BTreeMap<NodeId, usize> = BTreeMap::new();
     match spec {
@@ -791,7 +844,7 @@ mod tests {
         assert_eq!(batches.len(), 2);
         assert_eq!(batches[0].0, SimDuration::from_secs(5));
         assert_eq!(batches[0].1.len(), 2);
-        assert!(matches!(batches[0].1[0], FaultEvent::FailLink(_)));
+        assert!(matches!(batches[0].1[0], FaultStep::FailLink(_)));
         assert_eq!(batches[1].0, SimDuration::from_secs(10));
         assert!(!schedule.is_empty());
         assert_eq!(schedule.len(), 3);
@@ -830,13 +883,13 @@ mod tests {
         let mut ctx = FaultContext::new(7);
         let done = ctx.apply(
             &mut net,
-            &FaultEvent::FailLink(LinkSelector::RandomSafe { count: 1 }),
+            &FaultStep::FailLink(LinkSelector::RandomSafe { count: 1 }),
         );
         assert_eq!(done.len(), 1);
         assert_eq!(ctx.last_failed_links.len(), 1);
         let (a, b) = ctx.last_failed_links[0];
         assert!(!net.sim().link_is_operational(a, b));
-        let done = ctx.apply(&mut net, &FaultEvent::RestoreLastFailedLinks);
+        let done = ctx.apply(&mut net, &FaultStep::RestoreLastFailedLinks);
         assert_eq!(done.len(), 1);
         assert!(net.sim().link_is_operational(a, b));
         assert!(ctx.last_failed_links.is_empty());
@@ -861,7 +914,7 @@ mod tests {
         let mut ctx = FaultContext::new(13);
         let done = ctx.apply(
             &mut net,
-            &FaultEvent::DegradeLink(LinkSelector::RandomSafe { count: 2 }, DegradeSpec::gray()),
+            &FaultStep::DegradeLink(LinkSelector::RandomSafe { count: 2 }, DegradeSpec::gray()),
         );
         assert_eq!(done.len(), 2);
         assert!(done[0].starts_with("degrade link"), "{:?}", done);
@@ -874,7 +927,7 @@ mod tests {
         assert_eq!(net.link_config_warnings(), 0);
         let done = ctx.apply(
             &mut net,
-            &FaultEvent::RestoreLinkQuality(LinkSelector::LastDegraded),
+            &FaultStep::RestoreLinkQuality(LinkSelector::LastDegraded),
         );
         assert_eq!(done.len(), 2);
         assert!(done[0].starts_with("restore link quality"));
@@ -887,24 +940,24 @@ mod tests {
         let mut ctx = FaultContext::new(17);
         let done = ctx.apply(
             &mut net,
-            &FaultEvent::Partition {
+            &FaultStep::Partition {
+                key: 0,
                 groups: PartitionSpec::Halves,
-                heal_after: None,
             },
         );
         assert_eq!(done.len(), 1);
         assert!(done[0].starts_with("partition into 2 groups"));
-        assert!(!ctx.partitioned_links.is_empty());
-        let cut = ctx.partitioned_links.clone();
+        let cut: Vec<(NodeId, NodeId)> = ctx.partitioned_links().collect();
+        assert!(!cut.is_empty());
         for &(a, b) in &cut {
             assert!(!net.sim().link_is_operational(a, b));
         }
-        let done = ctx.apply(&mut net, &FaultEvent::HealPartition);
+        let done = ctx.apply(&mut net, &FaultStep::HealPartition { key: None });
         assert!(done[0].starts_with("heal partition"));
         for &(a, b) in &cut {
             assert!(net.sim().link_is_operational(a, b));
         }
-        assert!(ctx.partitioned_links.is_empty());
+        assert_eq!(ctx.partitioned_links().count(), 0);
     }
 
     #[test]
@@ -918,17 +971,67 @@ mod tests {
         let rest: Vec<NodeId> = all.iter().copied().filter(|&n| n != lone).collect();
         ctx.apply(
             &mut net,
-            &FaultEvent::Partition {
+            &FaultStep::Partition {
+                key: 0,
                 groups: PartitionSpec::Groups(vec![vec![lone], rest]),
-                heal_after: None,
             },
         );
         assert_eq!(
-            ctx.partitioned_links.len(),
+            ctx.partitioned_links().count(),
             net.topology().graph.degree(lone)
         );
-        for &(a, b) in &ctx.partitioned_links {
+        for (a, b) in ctx.partitioned_links() {
             assert!(a == lone || b == lone);
+        }
+    }
+
+    #[test]
+    fn overlapping_partitions_each_heal_their_own_cut() {
+        // Two self-healing partitions whose windows overlap: the second cut
+        // must not make the first partition's heal forget its own links.
+        let mut net = bootstrapped();
+        let mut ctx = FaultContext::new(37);
+        let lone = |i: usize, net: &SdnNetwork| {
+            let node = net.topology().switches[i];
+            let rest = net
+                .topology()
+                .graph
+                .nodes()
+                .filter(|&n| n != node)
+                .collect();
+            PartitionSpec::Groups(vec![vec![node], rest])
+        };
+        let first = lone(0, &net);
+        let second = lone(2, &net);
+        let schedule = FaultSchedule::new()
+            .at(
+                SimDuration::from_secs(1),
+                FaultEvent::Partition {
+                    groups: first,
+                    heal_after: Some(SimDuration::from_secs(4)),
+                },
+            )
+            .at(
+                SimDuration::from_secs(2),
+                FaultEvent::Partition {
+                    groups: second,
+                    heal_after: Some(SimDuration::from_secs(4)),
+                },
+            );
+        for (_, steps) in schedule.batches() {
+            for step in &steps {
+                ctx.apply(&mut net, step);
+            }
+        }
+        assert_eq!(ctx.partitioned_links().count(), 0);
+        let graph = net.sim().topology().clone();
+        for link in graph.links() {
+            assert!(
+                net.sim().link_is_operational(link.a, link.b),
+                "link {}-{} left cut",
+                link.a,
+                link.b
+            );
         }
     }
 
@@ -949,7 +1052,7 @@ mod tests {
             assert_eq!(*offset, SimDuration::from_secs(2 + 2 * i as u64));
             assert_eq!(events.len(), 1);
             match &events[0] {
-                FaultEvent::FlapPhase { flap, down, .. } => {
+                FaultStep::FlapPhase { flap, down, .. } => {
                     assert_eq!(*flap, 0);
                     assert_eq!(*down, i % 2 == 0);
                 }
@@ -966,7 +1069,7 @@ mod tests {
         let down = |ctx: &mut FaultContext, net: &mut SdnNetwork| {
             ctx.apply(
                 net,
-                &FaultEvent::FlapPhase {
+                &FaultStep::FlapPhase {
                     flap: 7,
                     selector,
                     down: true,
@@ -976,7 +1079,7 @@ mod tests {
         let first = down(&mut ctx, &mut net);
         ctx.apply(
             &mut net,
-            &FaultEvent::FlapPhase {
+            &FaultStep::FlapPhase {
                 flap: 7,
                 selector,
                 down: false,
@@ -1001,17 +1104,17 @@ mod tests {
         assert_eq!(batches[0].0, SimDuration::from_secs(1));
         assert!(matches!(
             batches[0].1[0],
-            FaultEvent::FailController(ControllerSelector::Index(0))
+            FaultStep::FailController(ControllerSelector::Index(0))
         ));
         assert_eq!(batches[1].0, SimDuration::from_secs(5));
         assert!(matches!(
             batches[1].1[0],
-            FaultEvent::ReviveControllerIndex(0)
+            FaultStep::ReviveControllerIndex(0)
         ));
         assert_eq!(batches[2].0, SimDuration::from_secs(11));
         assert!(matches!(
             batches[2].1[0],
-            FaultEvent::FailController(ControllerSelector::Index(1))
+            FaultStep::FailController(ControllerSelector::Index(1))
         ));
         assert_eq!(batches[3].0, SimDuration::from_secs(15));
     }
@@ -1027,9 +1130,15 @@ mod tests {
         );
         let batches = schedule.batches();
         assert_eq!(batches.len(), 2);
-        assert!(matches!(batches[0].1[0], FaultEvent::Partition { .. }));
+        assert!(matches!(
+            batches[0].1[0],
+            FaultStep::Partition { key: 0, .. }
+        ));
         assert_eq!(batches[1].0, SimDuration::from_secs(10));
-        assert!(matches!(batches[1].1[0], FaultEvent::HealPartition));
+        assert!(matches!(
+            batches[1].1[0],
+            FaultStep::HealPartition { key: Some(0) }
+        ));
     }
 
     #[test]
@@ -1079,7 +1188,7 @@ mod tests {
     fn corrupt_state_event_reports_mutations() {
         let mut net = bootstrapped();
         let mut ctx = FaultContext::new(11);
-        let done = ctx.apply(&mut net, &FaultEvent::CorruptState(CorruptionPlan::light()));
+        let done = ctx.apply(&mut net, &FaultStep::CorruptState(CorruptionPlan::light()));
         assert_eq!(done.len(), 1);
         assert!(done[0].starts_with("corrupt state ("));
         assert!(!net.is_legitimate());

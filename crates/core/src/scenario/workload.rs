@@ -26,8 +26,9 @@ pub struct WorkloadTick {
 /// workload observes genuine controller repair; with a frozen control plane
 /// ([`ControlPlane::Frozen`](super::ControlPlane::Frozen)) the simulator clock stands
 /// still and the workload sees only the static data plane — the paper's
-/// "without recovery" mode (Figure 16).
-pub trait Workload {
+/// "without recovery" mode (Figure 16). `Send`, so a [`ScenarioRun`](super::ScenarioRun)
+/// carrying attached workloads can move to the thread that drives it.
+pub trait Workload: Send {
     /// Display label of this workload; also the key of its report.
     fn label(&self) -> String;
 

@@ -13,7 +13,8 @@
 //!   aggregates instead of buffering every sample,
 //! * [`Recorder`] — the sink abstraction observations flow through: an in-memory
 //!   digest store ([`MemorySink`]), streaming JSON-lines ([`JsonLinesSink`]) and CSV
-//!   ([`CsvSink`]) writers, and a [`Fanout`] combinator.
+//!   ([`CsvSink`]) writers, and a [`Fanout`] combinator,
+//! * [`Json`] — the workspace's one JSON value type, emitter and parser.
 //!
 //! # Example
 //!
@@ -34,11 +35,13 @@
 #![warn(missing_docs)]
 
 mod digest;
+pub mod json;
 mod key;
 mod recorder;
 mod ring;
 
 pub use digest::Digest;
+pub use json::Json;
 pub use key::{MetricKey, Namespace, Polarity, Unit};
 pub use recorder::{csv_field, CsvSink, Fanout, JsonLinesSink, MemorySink, Recorder};
 pub use ring::{RingPage, RingSink};

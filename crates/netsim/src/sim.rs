@@ -433,6 +433,14 @@ impl<M: Payload, N: Node<M>> Simulator<M, N> {
         removed
     }
 
+    /// Returns `true` when the pair has any override (undirected or either direction)
+    /// for [`Simulator::clear_link_config`] to remove.
+    pub fn has_link_config(&self, a: NodeId, b: NodeId) -> bool {
+        self.link_overrides.contains_key(&Link::new(a, b))
+            || self.directed_overrides.contains_key(&(a, b))
+            || self.directed_overrides.contains_key(&(b, a))
+    }
+
     /// How many link-config calls named a link absent from `Gc` so far.
     pub fn link_config_warnings(&self) -> u64 {
         self.link_config_warnings

@@ -55,7 +55,13 @@ fn serve(args: &[String]) -> ExitCode {
         let value = args.get(i + 1);
         match flag {
             "--addr" => addr = parse_flag(flag, value),
-            "--topology" => config.topology = parse_flag(flag, value),
+            "--topology" => {
+                config.topology = parse_flag(flag, value);
+                if let Err(error) = sdn_topology::builders::lookup(&config.topology) {
+                    eprintln!("--topology: {error}");
+                    return ExitCode::from(2);
+                }
+            }
             "--controllers" => config.controllers = parse_flag(flag, value),
             "--seed" => config.seed = parse_flag(flag, value),
             "--tick-ms" => config.tick_millis = parse_flag(flag, value),

@@ -7,10 +7,18 @@
 //! (every command round-trips through [`Command::to_json`] / [`Command::from_json`])
 //! is what makes a recorded session a complete, self-contained artifact.
 
-use renaissance_bench::report::Json;
+use renaissance::scenario::{
+    partition_cut, ControllerSelector, DegradeSpec, FaultEvent, LinkSelector, PartitionSpec,
+    ScenarioRun, SwitchSelector,
+};
+use sdn_metrics::Json;
+use sdn_netsim::{BurstLoss, SimDuration};
+use sdn_topology::NodeId;
 
 /// One fault injection, addressed by concrete node indices (no random selectors:
-/// a logged command must mean the same victims on every replay).
+/// a logged command must mean the same victims on every replay). This is the wire
+/// encoding of a [`FaultEvent`]: [`FaultSpec::to_event`] checks it against the
+/// session and converts it, and the scenario runner's fault executor applies it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FaultSpec {
     /// Fail-stop the controller with this index.
@@ -55,9 +63,9 @@ pub enum FaultSpec {
     },
     /// Restore every link cut by the partition currently in force.
     HealPartition,
-    /// Flap the link: starting next tick, down for half of each period and back
-    /// up for the rest, `count` times. Phases fire from the session's scheduled
-    /// fault queue, so a replay flips the link on exactly the same ticks.
+    /// Flap the link: starting now, down for half of each period and back up for
+    /// the rest, `count` times. Later phases fire from the run's agenda, so a
+    /// replay flips the link at exactly the same simulated instants.
     FlapLink {
         /// One endpoint of the link.
         a: u32,
@@ -69,8 +77,8 @@ pub enum FaultSpec {
         count: u32,
     },
     /// Restart controllers one at a time: controller `i` (in index order) goes
-    /// down `i * interval_ticks` after the next tick and revives `down_ticks`
-    /// later — the rolling-upgrade drill.
+    /// down `i * interval_ticks` from now and revives `down_ticks` later — the
+    /// rolling-upgrade drill.
     RollingRestart {
         /// Ticks between consecutive controllers' restarts.
         interval_ticks: u32,
@@ -158,15 +166,7 @@ impl FaultSpec {
                     Json::arr(
                         groups
                             .iter()
-                            .map(|group| {
-                                Json::arr(
-                                    group
-                                        .iter()
-                                        .map(|n| Json::num(f64::from(*n)))
-                                        .collect::<Vec<_>>(),
-                                )
-                            })
-                            .collect::<Vec<_>>(),
+                            .map(|g| Json::arr(g.iter().map(|&n| Json::num(n)))),
                     ),
                 ),
             ]),
@@ -194,6 +194,147 @@ impl FaultSpec {
                 ("count", Json::num(f64::from(*count))),
             ]),
         }
+    }
+
+    /// Checks the spec against the session's run — node indices, link presence,
+    /// partition state — and converts it into the concrete-selector [`FaultEvent`] it
+    /// encodes. Tick counts become simulated time at `tick_millis` per tick.
+    pub fn to_event(&self, run: &ScenarioRun, tick_millis: u64) -> Result<FaultEvent, String> {
+        let net = run.network();
+        let graph = net.sim().topology();
+        let member = |n: u32, ids: Vec<NodeId>, what: &str| {
+            let id = NodeId::new(n);
+            ids.contains(&id)
+                .then_some(id)
+                .ok_or_else(|| format!("no {what} with index {n}"))
+        };
+        let controller = |n: u32| member(n, net.controller_ids(), "controller");
+        let switch = |n: u32| member(n, net.switch_ids(), "switch");
+        let link = |a: u32, b: u32| {
+            let (x, y) = (NodeId::new(a), NodeId::new(b));
+            (graph.contains_node(x) && graph.contains_node(y))
+                .then_some((x, y))
+                .ok_or_else(|| format!("link {a}-{b}: unknown endpoint"))
+        };
+        // Removals, quality overrides and flaps of a link that is not in `Gc` would be
+        // silent no-ops, so they are rejected up front.
+        let present = |a: u32, b: u32| {
+            let (x, y) = link(a, b)?;
+            graph
+                .has_link(x, y)
+                .then_some(LinkSelector::Between(x, y))
+                .ok_or_else(|| format!("link {a}-{b} not present"))
+        };
+        let ticks = |n: u32| SimDuration::from_millis(u64::from(n).saturating_mul(tick_millis));
+        let partitioned = run.faults().partitioned_links().next().is_some();
+        let reject = |reason: &str| Err(reason.to_string());
+        Ok(match *self {
+            FaultSpec::FailController(n) => {
+                FaultEvent::FailController(ControllerSelector::Id(controller(n)?))
+            }
+            FaultSpec::ReviveController(n) => FaultEvent::ReviveController(controller(n)?),
+            FaultSpec::FailSwitch(n) => FaultEvent::FailSwitch(SwitchSelector::Id(switch(n)?)),
+            FaultSpec::ReviveSwitch(n) => FaultEvent::ReviveSwitch(switch(n)?),
+            FaultSpec::FailLink(a, b) => {
+                let (a, b) = link(a, b)?;
+                FaultEvent::FailLink(LinkSelector::Between(a, b))
+            }
+            FaultSpec::RestoreLink(a, b) => {
+                let (a, b) = link(a, b)?;
+                FaultEvent::RestoreLink(a, b)
+            }
+            FaultSpec::RemoveLink(a, b) => FaultEvent::RemoveLink(present(a, b)?),
+            FaultSpec::AddLink(a, b) if a == b => return reject("cannot add a self-loop"),
+            FaultSpec::AddLink(a, b) => FaultEvent::AddLink(NodeId::new(a), NodeId::new(b)),
+            FaultSpec::DegradeLink {
+                a,
+                b,
+                loss,
+                burst,
+                asymmetric,
+            } => FaultEvent::DegradeLink(
+                present(a, b)?,
+                DegradeSpec {
+                    loss,
+                    burst: burst.map(|(enter, exit, bad)| BurstLoss::gilbert(enter, exit, bad)),
+                    extra_jitter: SimDuration::ZERO,
+                    asymmetric,
+                },
+            ),
+            FaultSpec::RestoreLinkQuality(a, b) => {
+                let selector = present(a, b)?;
+                if !net.sim().has_link_config(NodeId::new(a), NodeId::new(b)) {
+                    return Err(format!("link {a}-{b} has no quality override"));
+                }
+                FaultEvent::RestoreLinkQuality(selector)
+            }
+            FaultSpec::Partition { .. } if partitioned => {
+                return reject("a partition is already in force (heal it first)")
+            }
+            FaultSpec::Partition { ref groups } => {
+                if groups.len() < 2 {
+                    return reject("a partition needs at least two groups");
+                }
+                for (index, group) in groups.iter().enumerate() {
+                    if let Some(n) = group
+                        .iter()
+                        .find(|&&n| !graph.contains_node(NodeId::new(n)))
+                    {
+                        return Err(format!("partition group {index}: unknown node {n}"));
+                    }
+                }
+                let ids = |group: &Vec<u32>| group.iter().map(|&n| NodeId::new(n)).collect();
+                let groups = PartitionSpec::Groups(groups.iter().map(ids).collect());
+                if partition_cut(net, &groups).is_empty() {
+                    return reject("partition cuts no links");
+                }
+                FaultEvent::Partition {
+                    groups,
+                    heal_after: None,
+                }
+            }
+            FaultSpec::HealPartition if !partitioned => return reject("no partition is in force"),
+            FaultSpec::HealPartition => FaultEvent::HealPartition,
+            FaultSpec::FlapLink {
+                a,
+                b,
+                period_ticks,
+                count,
+            } => {
+                let selector = present(a, b)?;
+                if period_ticks < 2 || count == 0 {
+                    return reject("flap needs period_ticks >= 2 and a positive count");
+                }
+                let period = ticks(period_ticks);
+                FaultEvent::FlapLink {
+                    selector,
+                    period,
+                    count,
+                }
+            }
+            FaultSpec::RollingRestart {
+                interval_ticks,
+                down_ticks,
+                count,
+            } => {
+                let controllers = net.controller_ids().len();
+                if count == 0 || down_ticks == 0 || interval_ticks <= down_ticks {
+                    return reject(
+                        "rolling restart needs count >= 1 and down_ticks in [1, interval_ticks)",
+                    );
+                }
+                if controllers < count as usize {
+                    return Err(format!(
+                        "rolling restart of {count} controllers but only {controllers} exist"
+                    ));
+                }
+                FaultEvent::RollingControllerRestart {
+                    interval: ticks(interval_ticks),
+                    down_for: ticks(down_ticks),
+                    count: count as usize,
+                }
+            }
+        })
     }
 
     /// Parses the wire object.
@@ -270,26 +411,15 @@ impl FaultSpec {
                     .get("groups")
                     .and_then(Json::as_array)
                     .ok_or("fault `partition` needs `groups`: an array of node-index arrays")?;
-                let mut parsed = Vec::new();
-                for group in groups {
+                let group = |group: &Json| {
                     let members = group
                         .as_array()
                         .ok_or("each partition group must be an array of node indices")?;
-                    let mut nodes = Vec::new();
-                    for member in members {
-                        let n = member
-                            .as_f64()
-                            .filter(|n| {
-                                n.is_finite()
-                                    && *n >= 0.0
-                                    && *n <= f64::from(u32::MAX)
-                                    && n.trunc() == *n
-                            })
-                            .ok_or("partition group members must be node indices")?;
-                        nodes.push(n as u32);
-                    }
-                    parsed.push(nodes);
-                }
+                    let index =
+                        |n: &Json| as_u32(n).ok_or("partition group members must be node indices");
+                    members.iter().map(index).collect::<Result<Vec<u32>, _>>()
+                };
+                let parsed = groups.iter().map(group).collect::<Result<Vec<_>, _>>()?;
                 if parsed.len() < 2 {
                     return Err("a partition needs at least two groups".to_string());
                 }
@@ -334,7 +464,9 @@ impl FaultSpec {
 
 /// A flow-engine workload attachment: which traffic shape to offer and for how many
 /// service ticks. The arrival process is the open-loop Poisson law when
-/// `rate_per_tick` is set, otherwise every flow starts up front.
+/// `rate_per_tick` is set, otherwise every flow starts up front. Both tick counts are
+/// converted to simulated time at the session's tick length; the engine itself
+/// always advances in 1 s steps.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowsSpec {
     /// Number of sampled source/destination pairs.
@@ -435,11 +567,6 @@ pub enum Command {
 }
 
 impl Command {
-    /// True for commands that change simulated state when applied.
-    pub fn is_mutating(&self) -> bool {
-        matches!(self, Command::Fault(_) | Command::Flows(_))
-    }
-
     /// Serializes to the wire object (`{"op":...,...}`).
     pub fn to_json(&self) -> Json {
         match self {
@@ -505,12 +632,13 @@ fn field_prob(json: &Json, key: &str) -> Result<Option<f64>, String> {
 }
 
 fn field_u32(json: &Json, key: &str) -> Option<u32> {
-    let n = json.get(key)?.as_f64()?;
-    if n.is_finite() && n >= 0.0 && n <= f64::from(u32::MAX) && n.trunc() == n {
-        Some(n as u32)
-    } else {
-        None
-    }
+    as_u32(json.get(key)?)
+}
+
+/// The value as a node index or count: a non-negative integer that fits a `u32`.
+fn as_u32(json: &Json) -> Option<u32> {
+    let n = json.as_f64()?;
+    (n.is_finite() && n >= 0.0 && n <= f64::from(u32::MAX) && n.trunc() == n).then_some(n as u32)
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 //! The design splits along the determinism boundary:
 //!
 //! * [`session`] — the wall-clock-free core. A [`Session`](session::Session) owns
-//!   the network and advances in fixed simulated-time ticks; every mutation enters
-//!   as a typed [`Command`](command::Command).
+//!   a [`ScenarioRun`](renaissance::scenario::ScenarioRun), the run the scenario
+//!   runner drives, and steps it in fixed simulated-time ticks; every mutation
+//!   enters as a typed [`Command`](command::Command).
 //! * [`command`] — the JSON wire format for commands (faults, flow attachment,
 //!   step/run/pause/shutdown).
 //! * [`log`] — the replayable [`CommandLog`](log::CommandLog): each applied

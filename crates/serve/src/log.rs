@@ -16,7 +16,7 @@
 
 use crate::command::Command;
 use crate::session::{Session, SessionConfig};
-use renaissance_bench::report::Json;
+use sdn_metrics::Json;
 
 /// A complete recorded session: boot config, stamped commands, final tick, and the
 /// final report the live session produced.
@@ -318,5 +318,13 @@ mod tests {
             let err = CommandLog::parse(&mangle).unwrap_err();
             assert!(err.contains(needle), "wanted `{needle}`, got `{err}`");
         }
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_topology_instead_of_panicking() {
+        let (_, log) = record_live();
+        let text = log.to_jsonl().replacen("grid(2,3)", "nosuch(3)", 1);
+        let err = CommandLog::parse(&text).unwrap_err();
+        assert!(err.contains("unknown network 'nosuch(3)'"), "{err}");
     }
 }

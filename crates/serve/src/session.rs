@@ -1,6 +1,7 @@
 //! The deterministic session core: a simulated SDN advanced tick by tick.
 //!
-//! A [`Session`] owns the [`SdnNetwork`], the attached flow workloads, and a bounded
+//! A [`Session`] owns one [`ScenarioRun`] — the same steppable run the scenario
+//! runner drives, with its agenda of workload ticks and fault phases — plus a bounded
 //! ring of probe samples. It exposes exactly two mutations — [`Session::step`] (one
 //! simulated tick) and [`Session::apply`] (one [`Command`]) — and everything it
 //! computes derives from simulated state alone. No wall clock, no thread identity,
@@ -9,14 +10,12 @@
 //! replay of its command log produce bit-identical final reports.
 
 use crate::command::{Command, FaultSpec, FlowsSpec};
-use renaissance::scenario::{Workload, WorkloadReport, WorkloadTick};
-use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
-use renaissance_bench::report::Json;
-use sdn_metrics::{RingPage, RingSink};
-use sdn_netsim::{BurstLoss, SimDuration};
+use renaissance::scenario::{Scenario, ScenarioRun, WorkloadReport};
+use renaissance::SdnNetwork;
+use sdn_metrics::{Json, RingPage, RingSink};
+use sdn_netsim::SimTime;
 use sdn_topology::{builders, NodeId};
 use sdn_traffic::{Arrival, FlowEngineWorkload, FlowMix, FlowSetConfig, TrafficMatrix};
-use std::collections::BTreeMap;
 
 /// Everything needed to rebuild a session from scratch — the command log's header.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,13 +56,15 @@ impl SessionConfig {
         ])
     }
 
-    /// Parses the command-log header object.
+    /// Parses the command-log header object, rejecting topology names
+    /// [`builders::by_name`] does not know.
     pub fn from_json(json: &Json) -> Result<SessionConfig, String> {
         let topology = json
             .get("topology")
             .and_then(Json::as_str)
             .ok_or("session config needs a `topology` name")?
             .to_string();
+        let _ = builders::lookup(&topology)?;
         let int = |key: &str| -> Result<u64, String> {
             json.get(key)
                 .and_then(Json::as_f64)
@@ -81,42 +82,14 @@ impl SessionConfig {
     }
 }
 
-/// One deferred fault action, fired by [`Session::step`] when its tick arrives.
-/// Multi-phase faults (flaps, rolling restarts) expand into these at apply time,
-/// so a replay flips exactly the same nodes and links on exactly the same ticks.
-#[derive(Clone, Copy, Debug)]
-enum ScheduledFault {
-    LinkDown(NodeId, NodeId),
-    LinkUp(NodeId, NodeId),
-    ControllerDown(NodeId),
-    ControllerUp(NodeId),
-}
-
-/// One attached flow workload, advanced a service tick per session tick.
-struct FlowSlot {
-    /// Stable attachment label (`flows-<n>`), carried into the finished report.
-    label: String,
-    workload: FlowEngineWorkload,
-    ticks_done: u32,
-    duration: u32,
-}
-
 /// A long-running simulated SDN session. See the module docs for the contract.
 pub struct Session {
     config: SessionConfig,
-    net: SdnNetwork,
-    flows: Vec<FlowSlot>,
-    finished_flows: Vec<WorkloadReport>,
+    run: ScenarioRun,
     flows_attached: u64,
     samples: RingSink,
     tick: u64,
     commands_applied: u64,
-    /// Deferred fault phases keyed by the absolute tick they fire at; a `BTreeMap`
-    /// keeps the draining order deterministic.
-    scheduled: BTreeMap<u64, Vec<ScheduledFault>>,
-    /// Links cut by the partition currently in force, in cut order; drained by
-    /// `heal_partition`.
-    partitioned: Vec<(NodeId, NodeId)>,
 }
 
 impl Session {
@@ -127,25 +100,17 @@ impl Session {
     ///
     /// Panics when `config.topology` is not a name [`builders::by_name`] accepts.
     pub fn new(config: SessionConfig) -> Self {
-        let topology = builders::by_name(&config.topology, config.controllers);
-        let n_switches = topology.switch_count();
-        let net = SdnNetwork::new(
-            topology,
-            ControllerConfig::for_network(config.controllers, n_switches),
-            HarnessConfig::default().with_seed(config.seed),
-        );
-        let samples = RingSink::new(config.ring_capacity.max(1));
+        let scenario = Scenario::builder("sdn-serve")
+            .network(config.topology.as_str())
+            .controllers(config.controllers)
+            .build();
         let mut session = Session {
+            run: ScenarioRun::new(&scenario, config.seed),
+            samples: RingSink::new(config.ring_capacity.max(1)),
             config,
-            net,
-            flows: Vec::new(),
-            finished_flows: Vec::new(),
             flows_attached: 0,
-            samples,
             tick: 0,
             commands_applied: 0,
-            scheduled: BTreeMap::new(),
-            partitioned: Vec::new(),
         };
         session.record_sample();
         session
@@ -163,7 +128,7 @@ impl Session {
 
     /// Current simulated time in seconds.
     pub fn sim_secs(&self) -> f64 {
-        self.net.now().as_secs_f64()
+        self.net().now().as_secs_f64()
     }
 
     /// The telemetry ring backing `/log` and `/stream`.
@@ -181,39 +146,16 @@ impl Session {
             .next()
     }
 
-    /// Advances the session by one tick: fires any fault phases scheduled for this
-    /// tick, runs the simulator for the configured slice, drives every attached
-    /// flow workload one service tick, retires workloads whose window ended, and
-    /// records a probe sample.
+    fn net(&self) -> &SdnNetwork {
+        self.run.network()
+    }
+
+    /// Advances the session by one tick: the run steps to the tick's end, firing the
+    /// fault phases and workload ticks due on the way, and a probe sample is recorded.
     pub fn step(&mut self) {
         self.tick += 1;
-        if let Some(actions) = self.scheduled.remove(&self.tick) {
-            for action in actions {
-                match action {
-                    ScheduledFault::LinkDown(a, b) => self.net.fail_link(a, b),
-                    ScheduledFault::LinkUp(a, b) => self.net.restore_link(a, b),
-                    ScheduledFault::ControllerDown(id) => self.net.fail_controller(id),
-                    ScheduledFault::ControllerUp(id) => self.net.revive_controller(id),
-                }
-            }
-        }
-        self.net
-            .run_for(SimDuration::from_millis(self.config.tick_millis));
-        for slot in &mut self.flows {
-            slot.ticks_done += 1;
-            let tick = WorkloadTick {
-                index: slot.ticks_done,
-                elapsed: SimDuration::from_secs(u64::from(slot.ticks_done)),
-            };
-            slot.workload.tick(&mut self.net, tick);
-        }
-        while let Some(pos) = self.flows.iter().position(|s| s.ticks_done >= s.duration) {
-            let mut slot = self.flows.remove(pos);
-            let mut report = slot.workload.finish(&mut self.net);
-            report.push_note("attached_as", slot.label.clone());
-            report.push_note("finished_at_tick", self.tick.to_string());
-            self.finished_flows.push(report);
-        }
+        self.run
+            .step_until(SimTime::from_millis(self.tick * self.config.tick_millis));
         self.record_sample();
     }
 
@@ -234,252 +176,27 @@ impl Session {
     }
 
     fn apply_fault(&mut self, spec: &FaultSpec) -> Json {
-        let outcome: Result<String, String> =
-            match spec {
-                FaultSpec::FailController(n) => self.checked_controller(*n).map(|id| {
-                    self.net.fail_controller(id);
-                    format!("controller {n} failed")
-                }),
-                FaultSpec::ReviveController(n) => self.checked_controller(*n).map(|id| {
-                    self.net.revive_controller(id);
-                    format!("controller {n} revived")
-                }),
-                FaultSpec::FailSwitch(n) => self.checked_switch(*n).map(|id| {
-                    self.net.fail_switch(id);
-                    format!("switch {n} failed")
-                }),
-                FaultSpec::ReviveSwitch(n) => self.checked_switch(*n).map(|id| {
-                    self.net.revive_switch(id);
-                    format!("switch {n} revived")
-                }),
-                FaultSpec::FailLink(a, b) => self.checked_link(*a, *b).map(|(a, b)| {
-                    self.net.fail_link(a, b);
-                    format!("link {}-{} failed", a.index(), b.index())
-                }),
-                FaultSpec::RestoreLink(a, b) => self.checked_link(*a, *b).map(|(a, b)| {
-                    self.net.restore_link(a, b);
-                    format!("link {}-{} restored", a.index(), b.index())
-                }),
-                FaultSpec::RemoveLink(a, b) => self.checked_link(*a, *b).and_then(|(a, b)| {
-                    if self.net.remove_link(a, b) {
-                        Ok(format!("link {}-{} removed", a.index(), b.index()))
-                    } else {
-                        Err(format!("link {}-{} not present", a.index(), b.index()))
-                    }
-                }),
-                FaultSpec::AddLink(a, b) => {
-                    let (a, b) = (NodeId::new(*a), NodeId::new(*b));
-                    if a == b {
-                        Err("cannot add a self-loop".to_string())
-                    } else {
-                        self.net.add_link(a, b);
-                        Ok(format!("link {}-{} added", a.index(), b.index()))
-                    }
-                }
-                FaultSpec::DegradeLink {
-                    a,
-                    b,
-                    loss,
-                    burst,
-                    asymmetric,
-                } => self.checked_present_link(*a, *b).map(|(a, b)| {
-                    let base = self.net.default_link_config();
-                    let config = match burst {
-                        Some((p_enter, p_exit, loss_bad)) => {
-                            base.with_burst(BurstLoss::gilbert(*p_enter, *p_exit, *loss_bad))
-                        }
-                        None => base.with_loss(*loss),
-                    };
-                    if *asymmetric {
-                        self.net.set_link_config_directed(a, b, config);
-                    } else {
-                        self.net.set_link_config(a, b, config);
-                    }
-                    let direction = if *asymmetric { " (one-way)" } else { "" };
-                    format!("link {}-{} degraded{direction}", a.index(), b.index())
-                }),
-                FaultSpec::RestoreLinkQuality(a, b) => {
-                    self.checked_present_link(*a, *b).and_then(|(a, b)| {
-                        if self.net.clear_link_config(a, b) {
-                            Ok(format!("link {}-{} quality restored", a.index(), b.index()))
-                        } else {
-                            Err(format!(
-                                "link {}-{} has no quality override",
-                                a.index(),
-                                b.index()
-                            ))
-                        }
-                    })
-                }
-                FaultSpec::Partition { groups } => self.apply_partition(groups),
-                FaultSpec::HealPartition => {
-                    if self.partitioned.is_empty() {
-                        Err("no partition is in force".to_string())
-                    } else {
-                        let cut = std::mem::take(&mut self.partitioned);
-                        for &(a, b) in &cut {
-                            self.net.restore_link(a, b);
-                        }
-                        Ok(format!("partition healed, {} links restored", cut.len()))
-                    }
-                }
-                FaultSpec::FlapLink {
-                    a,
-                    b,
-                    period_ticks,
-                    count,
-                } => self.checked_present_link(*a, *b).and_then(|(a, b)| {
-                    if *period_ticks < 2 || *count == 0 {
-                        return Err("flap needs period_ticks >= 2 and a positive count".to_string());
-                    }
-                    let down_for = u64::from(*period_ticks / 2);
-                    let start = self.tick + 1;
-                    for cycle in 0..u64::from(*count) {
-                        let down_at = start + cycle * u64::from(*period_ticks);
-                        self.schedule(down_at, ScheduledFault::LinkDown(a, b));
-                        self.schedule(down_at + down_for, ScheduledFault::LinkUp(a, b));
-                    }
-                    Ok(format!(
-                        "link {}-{} flapping {count} times, period {period_ticks} ticks",
-                        a.index(),
-                        b.index()
-                    ))
-                }),
-                FaultSpec::RollingRestart {
-                    interval_ticks,
-                    down_ticks,
-                    count,
-                } => {
-                    let controllers = self.net.controller_ids();
-                    if *count == 0 || *down_ticks == 0 || *interval_ticks <= *down_ticks {
-                        Err("rolling restart needs count >= 1 and down_ticks in [1, interval_ticks)"
-                        .to_string())
-                    } else if controllers.len() < *count as usize {
-                        Err(format!(
-                            "rolling restart of {count} controllers but only {} exist",
-                            controllers.len()
-                        ))
-                    } else {
-                        let start = self.tick + 1;
-                        for (index, id) in controllers.iter().take(*count as usize).enumerate() {
-                            let down_at = start + index as u64 * u64::from(*interval_ticks);
-                            self.schedule(down_at, ScheduledFault::ControllerDown(*id));
-                            self.schedule(
-                                down_at + u64::from(*down_ticks),
-                                ScheduledFault::ControllerUp(*id),
-                            );
-                        }
-                        Ok(format!(
-                        "rolling restart of {count} controllers, one every {interval_ticks} ticks"
-                    ))
-                    }
-                }
-            };
-        match outcome {
-            Ok(detail) => Json::obj([
-                ("ok", Json::Bool(true)),
-                ("applied", spec.to_json()),
-                ("detail", Json::str(detail)),
-            ]),
+        match spec.to_event(&self.run, self.config.tick_millis) {
+            Ok(event) => {
+                let done = self.run.inject(&event);
+                Json::obj([
+                    ("ok", Json::Bool(true)),
+                    ("applied", spec.to_json()),
+                    ("detail", Json::str(done.join("; "))),
+                ])
+            }
             Err(error) => Json::obj([("ok", Json::Bool(false)), ("error", Json::str(error))]),
         }
     }
 
-    fn checked_controller(&self, n: u32) -> Result<NodeId, String> {
-        let id = NodeId::new(n);
-        if self.net.controller_ids().contains(&id) {
-            Ok(id)
-        } else {
-            Err(format!("no controller with index {n}"))
-        }
-    }
-
-    fn checked_switch(&self, n: u32) -> Result<NodeId, String> {
-        let id = NodeId::new(n);
-        if self.net.switch_ids().contains(&id) {
-            Ok(id)
-        } else {
-            Err(format!("no switch with index {n}"))
-        }
-    }
-
-    fn checked_link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let (a, b) = (NodeId::new(a), NodeId::new(b));
-        let graph = self.net.sim().topology();
-        if !graph.contains_node(a) || !graph.contains_node(b) {
-            Err(format!(
-                "link {}-{}: unknown endpoint",
-                a.index(),
-                b.index()
-            ))
-        } else {
-            Ok((a, b))
-        }
-    }
-
-    /// Like [`Session::checked_link`], but also requires the link to currently
-    /// exist in `Gc` — quality overrides and flaps on a never-built link would be
-    /// silent no-ops, so they are rejected up front instead.
-    fn checked_present_link(&self, a: u32, b: u32) -> Result<(NodeId, NodeId), String> {
-        let (a, b) = self.checked_link(a, b)?;
-        if self.net.sim().topology().has_link(a, b) {
-            Ok((a, b))
-        } else {
-            Err(format!("link {}-{} not present", a.index(), b.index()))
-        }
-    }
-
-    /// Enqueues one deferred fault phase for `tick`.
-    fn schedule(&mut self, tick: u64, fault: ScheduledFault) {
-        self.scheduled.entry(tick).or_default().push(fault);
-    }
-
-    /// Cuts every link crossing the given groups (first-wins membership, unlisted
-    /// nodes keep all their links — the same semantics as the scenario schedule's
-    /// explicit partition) and remembers the cut set for `heal_partition`.
-    fn apply_partition(&mut self, groups: &[Vec<u32>]) -> Result<String, String> {
-        if !self.partitioned.is_empty() {
-            return Err("a partition is already in force (heal it first)".to_string());
-        }
-        if groups.len() < 2 {
-            return Err("a partition needs at least two groups".to_string());
-        }
-        let mut assignment: BTreeMap<NodeId, usize> = BTreeMap::new();
-        for (index, group) in groups.iter().enumerate() {
-            for &n in group {
-                let id = NodeId::new(n);
-                if !self.net.sim().topology().contains_node(id) {
-                    return Err(format!("partition group {index}: unknown node {n}"));
-                }
-                assignment.entry(id).or_insert(index);
-            }
-        }
-        let cut: Vec<(NodeId, NodeId)> = self
-            .net
-            .sim()
-            .topology()
-            .links()
-            .filter_map(|link| {
-                let group_a = assignment.get(&link.a)?;
-                let group_b = assignment.get(&link.b)?;
-                (group_a != group_b).then_some((link.a, link.b))
-            })
-            .collect();
-        if cut.is_empty() {
-            return Err("partition cuts no links".to_string());
-        }
-        for &(a, b) in &cut {
-            self.net.fail_link(a, b);
-        }
-        let count = cut.len();
-        self.partitioned = cut;
-        Ok(format!("partition cut {count} links"))
-    }
-
     fn attach_flows(&mut self, spec: FlowsSpec) -> Json {
         let label = format!("flows-{}", self.flows_attached);
+        // The engine steps once per simulated second, so per-tick rates scale to it.
+        let tick_s = self.config.tick_millis as f64 / 1e3;
         let arrival = match spec.rate_per_tick {
-            Some(rate_per_tick) => Arrival::Poisson { rate_per_tick },
+            Some(rate) => Arrival::Poisson {
+                rate_per_tick: rate / tick_s,
+            },
             None => Arrival::UpFront,
         };
         let config = FlowSetConfig {
@@ -493,24 +210,22 @@ impl Session {
             pairs: spec.pairs,
             fan_out: None,
         };
-        let mut workload = FlowEngineWorkload::new(config, spec.duration_ticks);
+        // The window in whole engine seconds, rounded up and at least one.
+        let window_ms = u64::from(spec.duration_ticks).saturating_mul(self.config.tick_millis);
+        let seconds = u32::try_from(window_ms.div_ceil(1000).max(1)).unwrap_or(u32::MAX);
         // Decorrelate repeated attachments by default; an explicit salt wins.
         let salt = spec
             .seed_salt
             .unwrap_or(0x666c_6f77 ^ self.flows_attached.rotate_left(17));
-        workload = workload.with_seed_salt(salt);
-        workload.start(&mut self.net);
+        let workload = FlowEngineWorkload::new(config, seconds)
+            .with_seed_salt(salt)
+            .with_label(label.as_str());
+        self.run.attach(Box::new(workload));
         self.flows_attached += 1;
-        self.flows.push(FlowSlot {
-            label: label.clone(),
-            workload,
-            ticks_done: 0,
-            duration: spec.duration_ticks.max(1),
-        });
         Json::obj([
             ("ok", Json::Bool(true)),
             ("attached_as", Json::str(label)),
-            ("flows", Json::num(config_flow_count(&spec) as f64)),
+            ("flows", Json::num(f64::from(spec.pairs))),
         ])
     }
 
@@ -520,33 +235,20 @@ impl Session {
 
     /// The current communication graph `Gc`: node sets and links.
     pub fn topology_json(&self) -> Json {
-        let topo = self.net.topology();
-        let graph = self.net.sim().topology();
-        let ids = |nodes: &[NodeId]| {
-            Json::arr(
-                nodes
-                    .iter()
-                    .map(|n| Json::num(f64::from(n.index())))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let topo = self.net().topology();
+        let graph = self.net().sim().topology();
+        let ids = |nodes: &[NodeId]| Json::arr(nodes.iter().map(|n| Json::num(n.index())));
         let links = graph
             .links()
-            .map(|l| {
-                Json::arr([
-                    Json::num(f64::from(l.a.index())),
-                    Json::num(f64::from(l.b.index())),
-                ])
-            })
-            .collect::<Vec<_>>();
+            .map(|l| Json::arr([Json::num(l.a.index()), Json::num(l.b.index())]));
         Json::obj([
             ("name", Json::str(topo.name.as_str())),
             ("controllers", ids(&topo.controllers)),
             ("switches", ids(&topo.switches)),
-            ("links", Json::Arr(links)),
+            ("links", Json::arr(links)),
             (
                 "generation",
-                Json::num(self.net.sim().topology_generation() as f64),
+                Json::num(self.net().sim().topology_generation() as f64),
             ),
             (
                 "expected_diameter",
@@ -558,10 +260,10 @@ impl Session {
     /// One node's state, or `None` when the index names no node.
     pub fn node_json(&self, index: u32) -> Option<Json> {
         let id = NodeId::new(index);
-        let topo = self.net.topology();
-        let live = !self.net.sim().is_node_failed(id);
-        let degree = self.net.sim().operational_graph().degree(id);
-        if let Some(controller) = self.net.controller(id) {
+        let topo = self.net().topology();
+        let live = !self.net().sim().is_node_failed(id);
+        let degree = self.net().sim().operational_graph().degree(id);
+        if let Some(controller) = self.net().controller(id) {
             return Some(Json::obj([
                 ("id", Json::num(f64::from(index))),
                 ("kind", Json::str("controller")),
@@ -574,7 +276,7 @@ impl Session {
                 ),
             ]));
         }
-        if let Some(switch) = self.net.switch(id) {
+        if let Some(switch) = self.net().switch(id) {
             return Some(Json::obj([
                 ("id", Json::num(f64::from(index))),
                 ("kind", Json::str("switch")),
@@ -605,18 +307,12 @@ impl Session {
 
     /// The legitimacy verdict (paper, Definition 1) with every violated condition.
     pub fn legitimacy_json(&self) -> Json {
-        let report = self.net.legitimacy_report();
+        let report = self.net().legitimacy_report();
         Json::obj([
             ("legitimate", Json::Bool(report.is_legitimate())),
             (
                 "issues",
-                Json::arr(
-                    report
-                        .issues
-                        .iter()
-                        .map(|i| Json::str(i.as_str()))
-                        .collect::<Vec<_>>(),
-                ),
+                Json::arr(report.issues.iter().map(|i| Json::str(i.as_str()))),
             ),
         ])
     }
@@ -624,37 +320,43 @@ impl Session {
     /// Counters of the session so far: tick, simulated time, control-plane message
     /// totals, rule footprint, workload and sample accounting.
     pub fn metrics_json(&self) -> Json {
-        let metrics = self.net.metrics();
+        let metrics = self.net().metrics();
         Json::obj([
             ("tick", Json::num(self.tick as f64)),
             ("sim_s", Json::num(self.sim_secs())),
             (
                 "events",
-                Json::num(self.net.sim().events_processed() as f64),
+                Json::num(self.net().sim().events_processed() as f64),
             ),
             ("msgs_sent", Json::num(metrics.total_sent() as f64)),
             ("msgs_received", Json::num(metrics.total_received() as f64)),
             ("bytes_sent", Json::num(metrics.total_bytes_sent() as f64)),
-            ("rules_total", Json::num(self.net.total_rules() as f64)),
+            ("rules_total", Json::num(self.net().total_rules() as f64)),
             (
                 "rules_max_per_switch",
-                Json::num(self.net.max_rules_per_switch() as f64),
+                Json::num(self.net().max_rules_per_switch() as f64),
             ),
-            ("flow_workloads", Json::num(self.flows.len() as f64)),
-            ("flow_reports", Json::num(self.finished_flows.len() as f64)),
+            (
+                "flow_workloads",
+                Json::num(self.run.running_workloads() as f64),
+            ),
+            (
+                "flow_reports",
+                Json::num(self.run.workload_reports().len() as f64),
+            ),
             ("commands", Json::num(self.commands_applied as f64)),
             ("samples_dropped", Json::num(self.samples.dropped() as f64)),
             (
                 "pending_faults",
-                Json::num(self.scheduled.values().map(Vec::len).sum::<usize>() as f64),
+                Json::num(self.run.pending_faults() as f64),
             ),
             (
                 "partitioned_links",
-                Json::num(self.partitioned.len() as f64),
+                Json::num(self.run.faults().partitioned_links().count() as f64),
             ),
             (
                 "link_config_warnings",
-                Json::num(self.net.link_config_warnings() as f64),
+                Json::num(self.net().link_config_warnings() as f64),
             ),
         ])
     }
@@ -668,18 +370,14 @@ impl Session {
     /// The canonical end-of-session report — the artifact the replay test compares
     /// byte for byte. Everything here derives from simulated state only.
     pub fn final_report(&self) -> Json {
-        let flow_reports = self
-            .finished_flows
-            .iter()
-            .map(workload_report_json)
-            .collect::<Vec<_>>();
+        let flow_reports = self.run.workload_reports().iter().map(workload_report_json);
         Json::obj([
             ("config", self.config.to_json()),
             ("final_tick", Json::num(self.tick as f64)),
             ("sim_s", Json::num(self.sim_secs())),
             ("legitimacy", self.legitimacy_json()),
             ("metrics", self.metrics_json()),
-            ("flow_reports", Json::Arr(flow_reports)),
+            ("flow_reports", Json::arr(flow_reports)),
             (
                 "samples",
                 Json::obj([
@@ -691,8 +389,8 @@ impl Session {
     }
 
     fn record_sample(&mut self) {
-        let metrics = self.net.metrics();
-        let report = self.net.legitimacy_report();
+        let metrics = self.net().metrics();
+        let report = self.net().legitimacy_report();
         let line = Json::obj([
             ("tick", Json::num(self.tick as f64)),
             ("sim_s", Json::num(self.sim_secs())),
@@ -700,36 +398,30 @@ impl Session {
             ("issues", Json::num(report.issues.len() as f64)),
             (
                 "events",
-                Json::num(self.net.sim().events_processed() as f64),
+                Json::num(self.net().sim().events_processed() as f64),
             ),
             ("msgs_sent", Json::num(metrics.total_sent() as f64)),
-            ("rules_total", Json::num(self.net.total_rules() as f64)),
-            ("flow_workloads", Json::num(self.flows.len() as f64)),
+            ("rules_total", Json::num(self.net().total_rules() as f64)),
+            (
+                "flow_workloads",
+                Json::num(self.run.running_workloads() as f64),
+            ),
         ])
         .to_string();
         self.samples.push_line(line);
     }
 }
 
-/// Total flows a [`FlowsSpec`] expands to (no fan-out on this surface).
-fn config_flow_count(spec: &FlowsSpec) -> u64 {
-    u64::from(spec.pairs)
-}
-
 /// Renders a [`RingPage`] as the `/log` response object; samples are re-embedded as
 /// JSON values (they were emitted by this crate, so parsing cannot fail in practice,
 /// but a raw string fallback keeps the endpoint total).
 pub fn page_json(page: &RingPage) -> Json {
-    let lines = page
-        .lines
-        .iter()
-        .map(|(seq, line)| {
-            let sample = Json::parse(line).unwrap_or_else(|_| Json::str(line.as_str()));
-            Json::obj([("seq", Json::num(*seq as f64)), ("sample", sample)])
-        })
-        .collect::<Vec<_>>();
+    let lines = page.lines.iter().map(|(seq, line)| {
+        let sample = Json::parse(line).unwrap_or_else(|_| Json::str(line.as_str()));
+        Json::obj([("seq", Json::num(*seq as f64)), ("sample", sample)])
+    });
     Json::obj([
-        ("lines", Json::Arr(lines)),
+        ("lines", Json::arr(lines)),
         (
             "first_seq",
             match page.first_seq {
@@ -744,44 +436,17 @@ pub fn page_json(page: &RingPage) -> Json {
 
 /// Serializes one finished workload report: notes, per-tick series, digest summaries.
 fn workload_report_json(report: &WorkloadReport) -> Json {
-    let notes = report
-        .notes
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::str(v.as_str())))
-        .collect::<Vec<_>>();
-    let series = report
-        .series
-        .iter()
-        .map(|s| {
-            (
-                s.name.clone(),
-                Json::arr(s.values.iter().map(|v| Json::num(*v)).collect::<Vec<_>>()),
-            )
-        })
-        .collect::<Vec<_>>();
-    let digests = report
-        .digests
-        .iter()
-        .map(|(name, d)| {
-            (
-                name.clone(),
-                Json::obj([
-                    ("n", Json::num(d.len() as f64)),
-                    ("mean", Json::num(d.mean())),
-                    ("min", Json::num(d.min())),
-                    ("p50", Json::num(d.p50())),
-                    ("p90", Json::num(d.p90())),
-                    ("p99", Json::num(d.p99())),
-                    ("max", Json::num(d.max())),
-                ]),
-            )
-        })
-        .collect::<Vec<_>>();
+    let notes = report.notes.iter().map(|(k, v)| (k, Json::str(v.as_str())));
+    let series = report.series.iter().map(|s| {
+        let values = s.values.iter().map(|&v| Json::num(v));
+        (&s.name, Json::arr(values))
+    });
+    let digests = report.digests.iter().map(|(k, d)| (k, Json::samples(d)));
     Json::obj([
         ("label", Json::str(report.label.as_str())),
-        ("notes", Json::Obj(notes)),
-        ("series", Json::Obj(series)),
-        ("digests", Json::Obj(digests)),
+        ("notes", Json::obj(notes)),
+        ("series", Json::obj(series)),
+        ("digests", Json::obj(digests)),
     ])
 }
 
@@ -913,14 +578,15 @@ mod tests {
             count: 2,
         }));
         assert_eq!(ok(&flap), Some(true), "{flap}");
-        assert_eq!(pending(&s), Some(4.0), "two down/up phases per cycle");
+        // Two down/up phases per cycle; the first down-phase applies at once.
+        assert_eq!(pending(&s), Some(3.0));
         let rolling = s.apply(&Command::Fault(FaultSpec::RollingRestart {
             interval_ticks: 6,
             down_ticks: 3,
             count: 2,
         }));
         assert_eq!(ok(&rolling), Some(true), "{rolling}");
-        assert_eq!(pending(&s), Some(8.0));
+        assert_eq!(pending(&s), Some(6.0));
         for _ in 0..20 {
             s.step();
         }
@@ -955,12 +621,54 @@ mod tests {
         let flows = report.get("flow_reports").and_then(Json::as_array).unwrap();
         assert_eq!(flows.len(), 1);
         assert_eq!(
-            flows[0]
-                .get("notes")
-                .and_then(|n| n.get("attached_as"))
-                .and_then(Json::as_str),
+            flows[0].get("label").and_then(Json::as_str),
             Some("flows-0")
         );
+    }
+
+    #[test]
+    fn flow_results_are_in_simulated_seconds_at_any_tick_length() {
+        // The same flow set over the same simulated window, once at 500 ms ticks
+        // and once at 1000 ms ticks: the engine advances in simulated seconds, so
+        // FCTs and throughput must not depend on the tick length.
+        let flows = |tick_millis: u64, scale: u32| {
+            let mut s = Session::new(SessionConfig {
+                tick_millis,
+                ..tiny()
+            });
+            for _ in 0..10 * scale {
+                s.step();
+            }
+            let ack = s.apply(&Command::Flows(FlowsSpec {
+                pairs: 24,
+                duration_ticks: 6 * scale,
+                rate_per_tick: Some(4.0 / f64::from(scale)),
+                permutation: false,
+                seed_salt: Some(5),
+            }));
+            assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
+            for _ in 0..7 * scale {
+                s.step();
+            }
+            let report = s.final_report();
+            let flows = report.get("flow_reports").and_then(Json::as_array).unwrap();
+            assert_eq!(flows.len(), 1, "{report}");
+            let fct = flows[0]
+                .get("digests")
+                .and_then(|d| d.get("fct_s"))
+                .cloned();
+            let mbps = flows[0]
+                .get("series")
+                .and_then(|d| d.get("achieved_mbps"))
+                .cloned();
+            (fct.unwrap(), mbps.unwrap())
+        };
+        let (fct_half, mbps_half) = flows(500, 2);
+        let (fct_full, mbps_full) = flows(1000, 1);
+        assert_eq!(fct_half, fct_full);
+        assert_eq!(mbps_half, mbps_full);
+        assert_eq!(mbps_full.as_array().map(<[Json]>::len), Some(6));
+        assert!(fct_full.get("n").and_then(Json::as_f64).unwrap() > 0.0);
     }
 
     #[test]

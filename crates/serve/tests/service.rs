@@ -3,7 +3,7 @@
 //! failure, stream telemetry, attach flows, pause/step — then shut down cleanly
 //! and prove the recorded command log replays bit-identically.
 
-use renaissance_bench::report::Json;
+use sdn_metrics::Json;
 use sdn_serve::{CommandLog, Server, Session, SessionConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -223,6 +223,12 @@ fn a_full_interactive_session_replays_bit_identically() {
     // Bad input is rejected at the transport boundary.
     let (status, _) = http(&addr, "POST", "/faults", "{\"kind\":\"nonsense\"}");
     assert_eq!(status, 400);
+    // A deeply nested body is a parse error, not a stack overflow: the server
+    // answers 400 and keeps serving.
+    let (status, ack) = http(&addr, "POST", "/faults", &"[".repeat(20_000));
+    assert_eq!(status, 400, "{ack}");
+    let (status, _) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
     let (status, _) = http(&addr, "GET", "/no-such-route", "");
     assert_eq!(status, 404);
 

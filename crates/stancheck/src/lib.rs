@@ -16,8 +16,8 @@
 //! | `boxed-event-payload` | `Box` in netsim library code (per-event heap allocation in the dispatch path) |
 //! | `unwrap-expect` | `.unwrap()` / `.expect(...)` in library, non-test code |
 //!
-//! The tool is hand-rolled and dependency-free, in the same offline idiom as
-//! `sdn-rng` and the `bench::report` JSON emitter: a small Rust lexer
+//! The tool is hand-rolled, in the same offline idiom as `sdn-rng` and the
+//! `sdn_metrics::Json` emitter (its only dependency): a small Rust lexer
 //! ([`lexer`]) that is literal-aware (no false positives from strings or doc
 //! comments), a test-scope mask ([`scope`]), token-pattern rules ([`rules`]), and
 //! an auditable waiver channel ([`waiver`]):

@@ -1,11 +1,13 @@
 //! Resolved findings, waiver records, and the machine-readable JSON report.
 //!
-//! The JSON emitter is hand-rolled in the same offline idiom as `bench::report`:
-//! no dependencies, stable key order, and every string escaped. CI uploads the
+//! The JSON emitter is hand-rolled in the same offline idiom as the workspace's
+//! `sdn_metrics::Json` (which escapes its strings): stable key order, every string
+//! escaped. CI uploads the
 //! `--json` output as a build artifact so a failing run is diagnosable without
 //! re-running the tool.
 
 use crate::rules::Severity;
+use sdn_metrics::Json;
 
 /// One resolved finding (a rule that fired, after waiver matching).
 #[derive(Debug, Clone)]
@@ -129,21 +131,7 @@ impl Report {
 
 /// Escapes `s` as a JSON string literal (with the surrounding quotes).
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Json::str(s).to_string()
 }
 
 #[cfg(test)]

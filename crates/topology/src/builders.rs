@@ -104,20 +104,29 @@ pub const GENERATOR_FAMILY_NAMES: [&str; 3] = [
 ///
 /// Panics if `name` is neither a paper network nor a well-formed generator name.
 pub fn by_name(name: &str, n_controllers: usize) -> NamedTopology {
-    match name.to_ascii_lowercase().as_str() {
-        "b4" => b4(n_controllers),
-        "clos" => clos(n_controllers),
-        "telstra" => telstra(n_controllers),
-        "at&t" | "att" => att(n_controllers),
-        "ebone" => ebone(n_controllers),
-        other => match parse_generator(other) {
-            Some(net) => net(n_controllers),
-            None => panic!(
-                "unknown network '{name}': expected one of {PAPER_NETWORK_NAMES:?} \
-                 or a generator name like {GENERATOR_FAMILY_NAMES:?}"
-            ),
-        },
-    }
+    lookup(name).unwrap_or_else(|error| panic!("{error}"))(n_controllers)
+}
+
+/// The builder [`by_name`] uses for `name`, or an error naming the accepted forms —
+/// the non-panicking check for names that come from outside the program.
+pub fn lookup(name: &str) -> Result<Box<dyn Fn(usize) -> NamedTopology>, String> {
+    let lower = name.to_ascii_lowercase();
+    let paper: fn(usize) -> NamedTopology = match lower.as_str() {
+        "b4" => b4,
+        "clos" => clos,
+        "telstra" => telstra,
+        "at&t" | "att" => att,
+        "ebone" => ebone,
+        _ => {
+            return parse_generator(&lower).ok_or_else(|| {
+                format!(
+                    "unknown network '{name}': expected one of {PAPER_NETWORK_NAMES:?} \
+                     or a generator name like {GENERATOR_FAMILY_NAMES:?}"
+                )
+            })
+        }
+    };
+    Ok(Box::new(paper))
 }
 
 /// Parses a lowercase parameterized generator name (`family(a, b)` or `family-a-b`)
@@ -731,6 +740,13 @@ mod tests {
     #[should_panic(expected = "unknown network")]
     fn by_name_rejects_unknown() {
         let _ = by_name("arpanet", 1);
+    }
+
+    #[test]
+    fn lookup_reports_unknown_names_without_panicking() {
+        let err = lookup("nosuch(3)").err().expect("unknown name");
+        assert!(err.contains("unknown network 'nosuch(3)'"), "{err}");
+        assert_eq!(lookup("Grid(2,3)").expect("generator")(2).switch_count(), 6);
     }
 
     #[test]

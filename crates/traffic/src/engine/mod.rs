@@ -354,6 +354,7 @@ impl FlowEngine {
 /// scenario leaves every other workload's numbers untouched.
 #[derive(Debug)]
 pub struct FlowEngineWorkload {
+    label: String,
     config: FlowSetConfig,
     engine_config: EngineConfig,
     duration_secs: u32,
@@ -371,6 +372,7 @@ impl FlowEngineWorkload {
     /// A flow-engine workload running `config` for `duration_secs` service ticks.
     pub fn new(config: FlowSetConfig, duration_secs: u32) -> Self {
         FlowEngineWorkload {
+            label: "flow_engine".to_string(),
             config,
             engine_config: EngineConfig::default(),
             duration_secs,
@@ -383,6 +385,12 @@ impl FlowEngineWorkload {
             stalled: Vec::new(),
             achieved: Vec::new(),
         }
+    }
+
+    /// Renames the workload and its report (default `flow_engine`).
+    pub fn with_label(mut self, label: impl Into<String>) -> Self {
+        self.label = label.into();
+        self
     }
 
     /// Overrides the engine's capacity/cadence parameters.
@@ -411,7 +419,7 @@ impl FlowEngineWorkload {
 
 impl Workload for FlowEngineWorkload {
     fn label(&self) -> String {
-        "flow_engine".to_string()
+        self.label.clone()
     }
 
     fn duration(&self) -> SimDuration {
