@@ -26,8 +26,7 @@ impl Row {
 
 /// Prints a fixed-width table with a title and per-column headers, and (when the
 /// `RENAISSANCE_DUMP` environment variable is set) a structured dump of `payload` so
-/// EXPERIMENTS.md can be regenerated mechanically. `RENAISSANCE_JSON` is accepted as a
-/// legacy alias for the dump switch.
+/// EXPERIMENTS.md can be regenerated mechanically.
 pub fn print_table<T: Debug>(title: &str, headers: &[&str], rows: &[Row], payload: &T) {
     println!("\n== {title} ==");
     let label_width = rows
@@ -48,7 +47,7 @@ pub fn print_table<T: Debug>(title: &str, headers: &[&str], rows: &[Row], payloa
         }
         println!();
     }
-    if std::env::var("RENAISSANCE_DUMP").is_ok() || std::env::var("RENAISSANCE_JSON").is_ok() {
+    if std::env::var("RENAISSANCE_DUMP").is_ok() {
         println!("\n--- RAW ---\n{payload:#?}");
     }
 }

@@ -166,9 +166,9 @@ impl Controller {
         // Line 8: keep only live, reachable replies; re-learn every tag seen so far so
         // that nextTag() stays ahead of anything in the system.
         let live_tags = [self.rounds.curr(), self.rounds.prev()];
-        self.reply_db.prune(self.id, neighbors, &live_tags);
+        let [curr_reachable, prev_reachable] = self.reply_db.prune(self.id, neighbors, live_tags);
         // The generator only keeps the running max, so one representative tag is
-        // equivalent to observing every tag in the database (`observed_tags`).
+        // equivalent to observing every tag in the database.
         if let Some(tag) = self.reply_db.max_observed_tag() {
             self.tag_gen.observe(tag);
         }
@@ -177,7 +177,7 @@ impl Controller {
         let mut new_round = false;
         if self
             .reply_db
-            .round_complete(self.rounds.curr(), self.id, neighbors)
+            .round_complete(self.rounds.curr(), self.id, &curr_reachable)
         {
             let next = self.tag_gen.next_tag();
             self.rounds.start_round(next);
@@ -185,6 +185,14 @@ impl Controller {
             self.stats.rounds_completed += 1;
             new_round = true;
         }
+        // Reachability in the *previous* round's view decides which controllers are
+        // considered alive when a new round cleans up stale state (line 15). A new
+        // round shifts the `curr` view into `prev`.
+        let prev_reachable = if new_round {
+            curr_reachable
+        } else {
+            prev_reachable
+        };
         let curr = self.rounds.curr();
         let prev = self.rounds.prev();
 
@@ -220,13 +228,6 @@ impl Controller {
             Arc::new(planner.plan_restricted(refer_graph, &non_transit))
         };
         self.plan = Arc::clone(&rule_plan);
-
-        // Reachability in the *previous* round's view decides which controllers are
-        // considered alive when a new round cleans up stale state (line 15).
-        let prev_reachable: BTreeSet<NodeId> =
-            sdn_topology::paths::reachable_set(&prev_graph, self.id)
-                .into_iter()
-                .collect();
 
         // Lines 14–19: build one batch per reachable node.
         let keep_tags = if self.config.three_tags {

@@ -34,26 +34,21 @@ pub enum InsertOutcome {
     IgnoredStaleTag,
 }
 
-/// Bounded store of query replies keyed by `(responder, round tag)`.
-#[derive(Clone, Debug, Default)]
-pub struct ReplyDb {
-    max_replies: usize,
-    records: BTreeMap<(NodeId, Tag), QueryReply>,
-    /// Largest rule tag per stored reply (`None` for replies without rules),
-    /// precomputed at insert so the per-iterate tag observation is O(#replies)
-    /// instead of O(#rules). Maintained alongside `records`; replies injected
-    /// behind the database's back (tests) fall back to an on-the-fly scan.
-    rule_tag_ceiling: BTreeMap<(NodeId, Tag), Option<Tag>>,
-    c_resets: u64,
+/// One stored reply.
+#[derive(Clone, Debug, PartialEq)]
+struct Record {
+    reply: QueryReply,
+    /// Largest rule tag of `reply` (`None` without rules), computed at insert so
+    /// the per-iterate tag observation is O(#replies) instead of O(#rules).
+    rule_tag_ceiling: Option<Tag>,
 }
 
-impl PartialEq for ReplyDb {
-    fn eq(&self, other: &Self) -> bool {
-        // The ceiling cache is derived data: databases with equal records are equal.
-        self.max_replies == other.max_replies
-            && self.records == other.records
-            && self.c_resets == other.c_resets
-    }
+/// Bounded store of query replies keyed by `(responder, round tag)`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ReplyDb {
+    max_replies: usize,
+    records: BTreeMap<(NodeId, Tag), Record>,
+    c_resets: u64,
 }
 
 impl ReplyDb {
@@ -67,7 +62,6 @@ impl ReplyDb {
         ReplyDb {
             max_replies,
             records: BTreeMap::new(),
-            rule_tag_ceiling: BTreeMap::new(),
             c_resets: 0,
         }
     }
@@ -103,85 +97,71 @@ impl ReplyDb {
         let mut outcome = InsertOutcome::Stored;
         if !replaces_existing && self.records.len() + 1 > self.max_replies {
             self.records.clear();
-            self.rule_tag_ceiling.clear();
             self.c_resets += 1;
             outcome = InsertOutcome::StoredAfterReset;
         }
         // Remove any other response from the same node carrying a different tag for the
         // current round bucket (line 22 replaces "the previous response from pj").
-        self.rule_tag_ceiling.insert(key, max_rule_tag(&reply));
-        self.records.insert(key, reply);
+        let rule_tag_ceiling = max_rule_tag(&reply);
+        self.records.insert(
+            key,
+            Record {
+                reply,
+                rule_tag_ceiling,
+            },
+        );
         outcome
     }
 
     /// Removes every reply whose tag is not in `live_tags` or whose responder is not
     /// reachable from the controller according to the topology derivable from replies of
     /// the *same* tag (Algorithm 2 line 8).
-    pub fn prune(&mut self, self_id: NodeId, self_neighbors: &[NodeId], live_tags: &[Tag]) {
+    ///
+    /// Returns, per live tag, the nodes reachable from the controller in
+    /// `G(res(tag))`. Pruning does not change these sets: a dropped record belongs to
+    /// an unreachable node, so none of its claimed links touches the reachable
+    /// component.
+    pub fn prune<const N: usize>(
+        &mut self,
+        self_id: NodeId,
+        self_neighbors: &[NodeId],
+        live_tags: [Tag; N],
+    ) -> [BTreeSet<NodeId>; N] {
         // Replies claiming to come from the controller itself are always synthesized
         // fresh, never stored (line 5 of Algorithm 1): drop any stored one.
         self.records.retain(|(node, _), _| *node != self_id);
-        let reachable_per_tag: BTreeMap<Tag, BTreeSet<NodeId>> = live_tags
-            .iter()
-            .map(|&tag| {
-                let graph = self.res_graph(tag, self_id, self_neighbors);
-                let reachable: BTreeSet<NodeId> =
-                    paths::reachable_set(&graph, self_id).into_iter().collect();
-                (tag, reachable)
-            })
-            .collect();
-        self.records.retain(|(node, tag), _| {
-            reachable_per_tag
-                .get(tag)
-                .map(|reachable| reachable.contains(node))
-                .unwrap_or(false)
+        let reachable: [BTreeSet<NodeId>; N] = live_tags.map(|tag| {
+            let graph = self.res_graph(tag, self_id, self_neighbors);
+            paths::reachable_set(&graph, self_id).into_iter().collect()
         });
-        let records = &self.records;
-        self.rule_tag_ceiling
-            .retain(|key, _| records.contains_key(key));
+        self.records.retain(|(node, tag), _| {
+            live_tags
+                .iter()
+                .zip(&reachable)
+                .any(|(live, set)| live == tag && set.contains(node))
+        });
+        reachable
     }
 
     /// Removes every reply carrying `tag` (Algorithm 2 line 12).
     pub fn drop_tag(&mut self, tag: Tag) {
         self.records.retain(|(_, t), _| *t != tag);
-        self.rule_tag_ceiling.retain(|(_, t), _| *t != tag);
     }
 
     /// Performs an explicit C-reset, forgetting everything.
     pub fn c_reset(&mut self) {
         self.records.clear();
-        self.rule_tag_ceiling.clear();
         self.c_resets += 1;
     }
 
     /// The reply from `node` for round `tag`, if stored.
     pub fn get(&self, node: NodeId, tag: Tag) -> Option<&QueryReply> {
-        self.records.get(&(node, tag))
+        self.records.get(&(node, tag)).map(|r| &r.reply)
     }
 
     /// All stored replies.
     pub fn iter(&self) -> impl Iterator<Item = (&(NodeId, Tag), &QueryReply)> + '_ {
-        self.records.iter()
-    }
-
-    /// The set of nodes that have replied with round tag `tag`.
-    pub fn responders(&self, tag: Tag) -> BTreeSet<NodeId> {
-        self.records
-            .keys()
-            .filter(|(_, t)| *t == tag)
-            .map(|(n, _)| *n)
-            .collect()
-    }
-
-    /// Every tag present anywhere in the stored replies (including tags inside rules),
-    /// used to feed the practically-self-stabilizing tag generator.
-    pub fn observed_tags(&self) -> Vec<Tag> {
-        let mut tags = Vec::new();
-        for ((_, tag), reply) in &self.records {
-            tags.push(*tag);
-            tags.extend(reply.rules.iter().map(|r| r.tag));
-        }
-        tags
+        self.records.iter().map(|(key, r)| (key, &r.reply))
     }
 
     /// The tag with the largest value present anywhere in the stored replies (including
@@ -189,17 +169,8 @@ impl ReplyDb {
     /// all it needs — without walking every rule of every reply each iteration.
     pub fn max_observed_tag(&self) -> Option<Tag> {
         let mut best: Option<Tag> = None;
-        for ((node, tag), reply) in &self.records {
-            for t in [
-                Some(*tag),
-                self.rule_tag_ceiling
-                    .get(&(*node, *tag))
-                    .copied()
-                    .unwrap_or_else(|| max_rule_tag(reply)),
-            ]
-            .into_iter()
-            .flatten()
-            {
+        for ((_, tag), record) in &self.records {
+            for t in [Some(*tag), record.rule_tag_ceiling].into_iter().flatten() {
                 if best.is_none_or(|b| t.value() > b.value()) {
                     best = Some(t);
                 }
@@ -216,10 +187,7 @@ impl ReplyDb {
         for &nb in self_neighbors {
             g.add_link(self_id, nb);
         }
-        for ((node, t), reply) in &self.records {
-            if *t != tag {
-                continue;
-            }
+        for ((node, _), reply) in self.iter().filter(|((_, t), _)| *t == tag) {
             g.add_node(*node);
             for &nb in &reply.neighbors {
                 if nb != *node {
@@ -234,12 +202,12 @@ impl ReplyDb {
     /// nodes that have not answered the current round yet, the previous round's replies.
     pub fn fusion(&self, curr: Tag, prev: Tag) -> BTreeMap<NodeId, &QueryReply> {
         let mut out: BTreeMap<NodeId, &QueryReply> = BTreeMap::new();
-        for ((node, tag), reply) in &self.records {
+        for ((node, tag), reply) in self.iter() {
             if *tag == prev {
                 out.entry(*node).or_insert(reply);
             }
         }
-        for ((node, tag), reply) in &self.records {
+        for ((node, tag), reply) in self.iter() {
             if *tag == curr {
                 out.insert(*node, reply);
             }
@@ -294,20 +262,20 @@ impl ReplyDb {
     }
 
     /// The round-completion test of Algorithm 2 line 10: every node reachable from the
-    /// controller in `G(res(curr))` has sent a reply tagged `curr`.
-    pub fn round_complete(&self, curr: Tag, self_id: NodeId, self_neighbors: &[NodeId]) -> bool {
-        let graph = self.res_graph(curr, self_id, self_neighbors);
-        let responders = self.responders(curr);
-        paths::reachable_set(&graph, self_id)
-            .into_iter()
-            .filter(|&n| n != self_id)
-            .all(|n| responders.contains(&n))
+    /// controller in `G(res(curr))` — the `curr` set [`ReplyDb::prune`] returned — has
+    /// sent a reply tagged `curr`.
+    pub fn round_complete(&self, curr: Tag, self_id: NodeId, reachable: &BTreeSet<NodeId>) -> bool {
+        reachable
+            .iter()
+            .all(|&n| n == self_id || self.records.contains_key(&(n, curr)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdn_rng::Rng;
+    use sdn_switch::Rule;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
@@ -321,6 +289,13 @@ mod tests {
             rules: vec![],
             echo_tag: tag,
         }
+    }
+
+    /// Stores `reply` under its own tag, bypassing the current-round check — a
+    /// reply left over from an earlier round or injected by a transient fault.
+    fn put(db: &mut ReplyDb, reply: QueryReply) {
+        let tag = reply.echo_tag;
+        db.insert(reply, tag);
     }
 
     const T1: Tag = Tag::new(0, 1);
@@ -380,8 +355,8 @@ mod tests {
         db.insert(reply(3, &[0, 4], T1), T1);
         db.insert(reply(9, &[10], T1), T1); // not connected to controller 0
                                             // An old-tag reply sneaks in (e.g. left over from a corrupted state).
-        db.records.insert((n(7), T2), reply(7, &[0], T2));
-        db.prune(n(0), &[n(3)], &[T1]);
+        put(&mut db, reply(7, &[0], T2));
+        db.prune(n(0), &[n(3)], [T1]);
         assert!(db.get(n(3), T1).is_some());
         assert!(db.get(n(9), T1).is_none(), "unreachable responder pruned");
         assert!(db.get(n(7), T2).is_none(), "stale tag pruned");
@@ -390,17 +365,65 @@ mod tests {
     #[test]
     fn prune_drops_replies_claiming_to_be_self() {
         let mut db = ReplyDb::new(8);
-        db.records.insert((n(0), T1), reply(0, &[42], T1));
-        db.prune(n(0), &[n(3)], &[T1]);
+        put(&mut db, reply(0, &[42], T1));
+        db.prune(n(0), &[n(3)], [T1]);
         assert!(db.get(n(0), T1).is_none());
+    }
+
+    #[test]
+    fn prune_returns_the_reachable_sets_of_the_pruned_views() {
+        let mut rng = Rng::seed_from_u64(8);
+        let tags = [T1, T2, Tag::new(3, 9)];
+        for case in 0..300 {
+            let mut db = ReplyDb::new(64);
+            let self_neighbors: Vec<NodeId> = (1..6).filter(|_| rng.gen_bool(0.4)).map(n).collect();
+            // Nodes 1..10 surround the controller; nodes 20..26 form islands that
+            // only link among themselves. Responder 0 is a self-claimed record.
+            for _ in 0..rng.gen_range(0..24usize) {
+                let pool = if rng.gen_bool(0.7) {
+                    0..10u32
+                } else {
+                    20..26u32
+                };
+                let responder = rng.gen_range(pool.clone());
+                let neighbors: Vec<u32> = (0..rng.gen_range(0..4usize))
+                    .map(|_| rng.gen_range(pool.clone()))
+                    .collect();
+                let tag = tags[rng.gen_range(0..tags.len())];
+                put(&mut db, reply(responder, &neighbors, tag));
+            }
+            let curr = tags[rng.gen_range(0..2usize)];
+            let prev = if rng.gen_bool(0.2) {
+                curr
+            } else {
+                tags[rng.gen_range(0..2usize)]
+            };
+            let reachable = db.prune(n(0), &self_neighbors, [curr, prev]);
+            for (tag, set) in [curr, prev].into_iter().zip(&reachable) {
+                let graph = db.res_graph(tag, n(0), &self_neighbors);
+                let recomputed: BTreeSet<NodeId> =
+                    paths::reachable_set(&graph, n(0)).into_iter().collect();
+                assert_eq!(*set, recomputed, "case {case}: tag {tag:?}");
+            }
+            for ((node, tag), _) in db.iter() {
+                assert_ne!(*node, n(0), "case {case}: self-claimed record kept");
+                assert!(
+                    [curr, prev]
+                        .into_iter()
+                        .zip(&reachable)
+                        .any(|(t, set)| t == *tag && set.contains(node)),
+                    "case {case}: kept an unreachable or stale record of {node}"
+                );
+            }
+        }
     }
 
     #[test]
     fn fusion_prefers_current_round() {
         let mut db = ReplyDb::new(8);
-        db.records.insert((n(3), T1), reply(3, &[0], T1));
-        db.records.insert((n(3), T2), reply(3, &[0, 4], T2));
-        db.records.insert((n(5), T1), reply(5, &[0], T1));
+        put(&mut db, reply(3, &[0], T1));
+        put(&mut db, reply(3, &[0, 4], T2));
+        put(&mut db, reply(5, &[0], T1));
         let fusion = db.fusion(T2, T1);
         assert_eq!(fusion[&n(3)].neighbors.len(), 2, "current-round reply wins");
         assert_eq!(
@@ -418,8 +441,8 @@ mod tests {
         let mut db = ReplyDb::new(8);
         // Node 4's current-round reply no longer lists 5 (their link failed), but
         // node 5's previous-round reply still claims it.
-        db.records.insert((n(4), T2), reply(4, &[0, 3], T2));
-        db.records.insert((n(5), T1), reply(5, &[4, 6], T1));
+        put(&mut db, reply(4, &[0, 3], T2));
+        put(&mut db, reply(5, &[4, 6], T1));
         let g = db.fusion_graph(T2, T1, n(0), &[n(4)]);
         assert!(
             !g.has_link(n(4), n(5)),
@@ -431,8 +454,8 @@ mod tests {
         // Same-tag replies keep union semantics: a mid-round disagreement is not
         // a contradiction.
         let mut db = ReplyDb::new(8);
-        db.records.insert((n(4), T2), reply(4, &[0], T2));
-        db.records.insert((n(5), T2), reply(5, &[4], T2));
+        put(&mut db, reply(4, &[0], T2));
+        put(&mut db, reply(5, &[4], T2));
         let g = db.fusion_graph(T2, T1, n(0), &[n(4)]);
         assert!(
             g.has_link(n(4), n(5)),
@@ -445,7 +468,7 @@ mod tests {
         let mut db = ReplyDb::new(8);
         // Node 3's stale reply claims adjacency to the controller, but the
         // controller no longer observes node 3.
-        db.records.insert((n(3), T1), reply(3, &[0, 4], T1));
+        put(&mut db, reply(3, &[0, 4], T1));
         let g = db.fusion_graph(T2, T1, n(0), &[n(5)]);
         assert!(!g.has_link(n(0), n(3)), "own observation is always current");
         assert!(g.has_link(n(3), n(4)), "claims about third parties survive");
@@ -456,20 +479,44 @@ mod tests {
         let mut db = ReplyDb::new(8);
         // Controller 0 has neighbor 3; 3 knows 4.
         db.insert(reply(3, &[0, 4], T1), T1);
+        let [reachable] = db.prune(n(0), &[n(3)], [T1]);
         assert!(
-            !db.round_complete(T1, n(0), &[n(3)]),
+            !db.round_complete(T1, n(0), &reachable),
             "node 4 is reachable but has not replied"
         );
         db.insert(reply(4, &[3], T1), T1);
-        assert!(db.round_complete(T1, n(0), &[n(3)]));
+        let [reachable] = db.prune(n(0), &[n(3)], [T1]);
+        assert!(db.round_complete(T1, n(0), &reachable));
     }
 
     #[test]
-    fn drop_tag_and_observed_tags() {
+    fn max_observed_tag_includes_rule_tags() {
+        let mut db = ReplyDb::new(8);
+        assert_eq!(db.max_observed_tag(), None);
+        db.insert(reply(3, &[0], T1), T1);
+        assert_eq!(db.max_observed_tag(), Some(T1));
+        let mut with_rule = reply(4, &[0], T1);
+        with_rule.rules.push(Rule {
+            cid: n(1),
+            sid: n(4),
+            src: None,
+            dst: n(3),
+            prt: 7,
+            fwd: n(3),
+            tag: Tag::new(1, 40),
+        });
+        db.insert(with_rule, T1);
+        assert_eq!(db.max_observed_tag(), Some(Tag::new(1, 40)));
+        db.drop_tag(T1);
+        assert_eq!(db.max_observed_tag(), None);
+    }
+
+    #[test]
+    fn drop_tag_and_c_reset() {
         let mut db = ReplyDb::new(8);
         db.insert(reply(3, &[0], T1), T1);
-        db.records.insert((n(4), T2), reply(4, &[0], T2));
-        assert_eq!(db.observed_tags().len(), 2);
+        put(&mut db, reply(4, &[0], T2));
+        assert_eq!(db.len(), 2);
         db.drop_tag(T1);
         assert!(db.get(n(3), T1).is_none());
         assert!(db.get(n(4), T2).is_some());

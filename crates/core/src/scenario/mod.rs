@@ -56,9 +56,7 @@ mod schedule;
 mod workload;
 
 pub use probe::{Probe, ProbeKeyArg, ProbeSeries};
-pub use report::{
-    InjectedFault, MetricDelta, RecoveryRecord, ReportDelta, RunReport, ScenarioReport,
-};
+pub use report::{InjectedFault, RecoveryRecord, RunReport, ScenarioReport};
 pub use runner::{ScenarioRun, ScenarioRunner};
 pub use schedule::{
     mid_path_link, partition_cut, ControllerSelector, DegradeSpec, Endpoints, FaultContext,

@@ -170,30 +170,7 @@ impl RuleTable {
     pub fn insert(&mut self, rule: Rule) -> bool {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        match self.position(&key_of(&rule)) {
-            Ok(at) => {
-                self.rules[at] = StoredRule { rule, stamp };
-                false
-            }
-            Err(mut at) => {
-                let mut evicted = false;
-                if self.rules.len() >= self.max_rules {
-                    // Evict the least recently updated rule (stamps are unique,
-                    // so the victim is unambiguous).
-                    if let Some(victim) = (0..self.rules.len()).min_by_key(|&i| self.rules[i].stamp)
-                    {
-                        self.rules.remove(victim);
-                        self.evictions += 1;
-                        evicted = true;
-                        if victim < at {
-                            at -= 1;
-                        }
-                    }
-                }
-                self.rules.insert(at, StoredRule { rule, stamp });
-                evicted
-            }
-        }
+        self.insert_stamped(StoredRule { rule, stamp })
     }
 
     /// The contiguous index range holding `controller`'s rules.
@@ -303,23 +280,30 @@ impl RuleTable {
         removed
     }
 
-    /// Inserts a rule whose stamp was already drawn from the counter; shares the
-    /// eviction logic with [`RuleTable::insert`].
-    fn insert_stamped(&mut self, stored: StoredRule) {
+    /// [`RuleTable::insert`] for a rule whose stamp was already drawn from the counter.
+    fn insert_stamped(&mut self, stored: StoredRule) -> bool {
         match self.position(&key_of(&stored.rule)) {
-            Ok(at) => self.rules[at] = stored,
+            Ok(at) => {
+                self.rules[at] = stored;
+                false
+            }
             Err(mut at) => {
+                let mut evicted = false;
                 if self.rules.len() >= self.max_rules {
+                    // Evict the least recently updated rule (stamps are unique,
+                    // so the victim is unambiguous).
                     if let Some(victim) = (0..self.rules.len()).min_by_key(|&i| self.rules[i].stamp)
                     {
                         self.rules.remove(victim);
                         self.evictions += 1;
+                        evicted = true;
                         if victim < at {
                             at -= 1;
                         }
                     }
                 }
                 self.rules.insert(at, stored);
+                evicted
             }
         }
     }

@@ -11,7 +11,7 @@
 //! The forwarding engine in `sdn-switch` picks the highest-priority rule whose out-link
 //! is currently operational, which is exactly the fast-failover group behaviour.
 
-use crate::flat::{BfsScratch, FlatGraph};
+use crate::flat::BfsScratch;
 use crate::graph::Graph;
 use crate::ids::NodeId;
 use std::collections::BTreeMap;
@@ -282,68 +282,27 @@ impl FlowPlanner {
         non_transit: &std::collections::BTreeSet<NodeId>,
     ) -> FlowPlan {
         let limit = self.max_candidates.unwrap_or(usize::MAX);
-        // Distances towards a target are computed over the graph without the other
-        // non-transit nodes: paths may start or end at a non-transit node but never
-        // pass through one. That search graph is *identical* for every
-        // transit-capable target, so it is built and snapshot once; only the few
-        // non-transit targets (the controllers) need a per-target variant that keeps
-        // the target itself. One scratch serves every BFS.
-        let mut scratch = BfsScratch::new();
-        let full = graph.snapshot();
-        let n = full.node_count();
-        let base: FlatGraph = if non_transit.is_empty() {
-            graph.snapshot()
-        } else {
-            graph.without_nodes(non_transit.iter()).snapshot()
-        };
-        // Everything below works on dense indices of the full snapshot: per-node
-        // translation tables and one distance matrix replace the per-neighbor
-        // binary searches and set probes of the naive formulation.
-        let to_base: Vec<Option<u32>> = full
-            .node_ids()
-            .iter()
-            .map(|&id| base.index_of(id))
-            .collect();
-        let endpoint_only: Vec<bool> = full
+        // Everything below works on dense indices of one snapshot: a per-node flag
+        // and one distance matrix replace the per-neighbor set probes of the naive
+        // formulation, and one scratch serves every BFS.
+        let flat = graph.snapshot();
+        let n = flat.node_count();
+        let endpoint_only: Vec<bool> = flat
             .node_ids()
             .iter()
             .map(|id| non_transit.contains(id))
             .collect();
-        let mut dist: Vec<u32> = vec![u32::MAX; n * n];
+        // Paths may start or end at a non-transit node but never pass through one:
+        // the BFS from each target expands only transit nodes (and the target
+        // itself). Row `ti` holds every node's distance towards target `ti`,
+        // `u32::MAX` (`NO_INDEX`) when unreached. Its entries for non-transit
+        // nodes other than the target are never read: the candidate ranking skips
+        // them, and their own distance comes from their best candidate.
+        let mut scratch = BfsScratch::new();
+        let mut dist: Vec<u32> = Vec::with_capacity(n * n);
         for ti in 0..n {
-            let row = &mut dist[ti * n..(ti + 1) * n];
-            if endpoint_only[ti] {
-                let target = full.node_at(ti as u32);
-                let restricted: Vec<NodeId> = non_transit
-                    .iter()
-                    .copied()
-                    .filter(|&x| x != target)
-                    .collect();
-                let per_target = graph.without_nodes(restricted.iter()).snapshot();
-                let Some(target_idx) = per_target.index_of(target) else {
-                    continue;
-                };
-                per_target.bfs(target_idx, &mut scratch);
-                for (fi, slot) in row.iter_mut().enumerate() {
-                    if let Some(pi) = per_target.index_of(full.node_at(fi as u32)) {
-                        if let Some(d) = scratch.distance(pi) {
-                            *slot = d;
-                        }
-                    }
-                }
-            } else {
-                let Some(target_idx) = to_base[ti] else {
-                    continue;
-                };
-                base.bfs(target_idx, &mut scratch);
-                for (fi, slot) in row.iter_mut().enumerate() {
-                    if let Some(bi) = to_base[fi] {
-                        if let Some(d) = scratch.distance(bi) {
-                            *slot = d;
-                        }
-                    }
-                }
-            }
+            flat.bfs_filtered(ti as u32, &mut scratch, |u| !endpoint_only[u as usize]);
+            dist.extend_from_slice(scratch.distances());
         }
         // Assemble with `at` as the outer loop so both maps build from key-sorted
         // pairs (one bulk construction each instead of per-pair tree inserts).
@@ -351,20 +310,20 @@ impl FlowPlanner {
         let mut distances_v: Vec<((NodeId, NodeId), u32)> = Vec::new();
         let mut candidates: Vec<(u32, NodeId)> = Vec::new();
         for ai in 0..n {
-            let at = full.node_at(ai as u32);
+            let at = flat.node_at(ai as u32);
             for ti in 0..n {
                 if ti == ai {
                     continue;
                 }
-                let target = full.node_at(ti as u32);
+                let target = flat.node_at(ti as u32);
                 candidates.clear();
-                for &hi in full.neighbor_indices(ai as u32) {
+                for &hi in flat.neighbor_indices(ai as u32) {
                     if endpoint_only[hi as usize] && hi as usize != ti {
                         continue;
                     }
                     let d = dist[ti * n + hi as usize];
                     if d != u32::MAX {
-                        candidates.push((d, full.node_at(hi)));
+                        candidates.push((d, flat.node_at(hi)));
                     }
                 }
                 candidates.sort();
@@ -559,6 +518,122 @@ mod tests {
         let from_nine = plan.next_hops(n(9), n(4)).unwrap();
         assert!(from_nine.primary().is_some());
         assert_eq!(plan.distance(n(9), n(4)), Some(1));
+    }
+
+    /// The planner as first written: per-target graph clones without the other
+    /// non-transit nodes, each searched with a plain BFS. Kept as the reference
+    /// the single-snapshot filtered-BFS planner must reproduce exactly.
+    fn reference_plan(
+        planner: &FlowPlanner,
+        graph: &Graph,
+        non_transit: &std::collections::BTreeSet<NodeId>,
+    ) -> FlowPlan {
+        let limit = planner.max_candidates.unwrap_or(usize::MAX);
+        let mut scratch = BfsScratch::new();
+        let full = graph.snapshot();
+        let n = full.node_count();
+        let endpoint_only: Vec<bool> = full
+            .node_ids()
+            .iter()
+            .map(|id| non_transit.contains(id))
+            .collect();
+        let mut dist: Vec<u32> = vec![u32::MAX; n * n];
+        for ti in 0..n {
+            let target = full.node_at(ti as u32);
+            let removed: Vec<NodeId> = non_transit
+                .iter()
+                .copied()
+                .filter(|&x| x != target)
+                .collect();
+            let search = graph.without_nodes(removed.iter()).snapshot();
+            let Some(target_idx) = search.index_of(target) else {
+                continue;
+            };
+            search.bfs(target_idx, &mut scratch);
+            for (fi, slot) in dist[ti * n..(ti + 1) * n].iter_mut().enumerate() {
+                if let Some(si) = search.index_of(full.node_at(fi as u32)) {
+                    if let Some(d) = scratch.distance(si) {
+                        *slot = d;
+                    }
+                }
+            }
+        }
+        let mut next_hops = BTreeMap::new();
+        let mut distances = BTreeMap::new();
+        for ai in 0..n {
+            for ti in (0..n).filter(|&ti| ti != ai) {
+                let mut candidates: Vec<(u32, NodeId)> = full
+                    .neighbor_indices(ai as u32)
+                    .iter()
+                    .filter(|&&hi| !endpoint_only[hi as usize] || hi as usize == ti)
+                    .map(|&hi| (dist[ti * n + hi as usize], full.node_at(hi)))
+                    .filter(|&(d, _)| d != u32::MAX)
+                    .collect();
+                candidates.sort();
+                let d_at = if endpoint_only[ai] {
+                    candidates.first().map(|&(d, _)| d + 1)
+                } else {
+                    Some(dist[ti * n + ai]).filter(|&d| d != u32::MAX)
+                };
+                let Some(d_at) = d_at else {
+                    continue;
+                };
+                let key = (full.node_at(ai as u32), full.node_at(ti as u32));
+                distances.insert(key, d_at);
+                if !candidates.is_empty() {
+                    let hops = candidates.iter().take(limit).map(|&(_, h)| h).collect();
+                    next_hops.insert(key, NextHopSet::new(hops));
+                }
+            }
+        }
+        FlowPlan {
+            kappa: planner.kappa,
+            next_hops,
+            distances,
+        }
+    }
+
+    #[test]
+    fn restricted_plan_matches_the_per_target_reference() {
+        use crate::builders;
+        use sdn_rng::Rng;
+        let mut rng = Rng::seed_from_u64(13);
+        for case in 0..60 {
+            let controllers = rng.gen_range(0..3usize);
+            let mut graph = match case % 3 {
+                0 => builders::ring(rng.gen_range(3..12usize), controllers).graph,
+                1 => {
+                    let switches = 2 * rng.gen_range(3..9usize);
+                    builders::jellyfish(switches, 3, rng.next_u64(), controllers).graph
+                }
+                _ => {
+                    let (rows, cols) = (rng.gen_range(2..5usize), rng.gen_range(2..5usize));
+                    builders::grid(rows, cols, controllers).graph
+                }
+            };
+            // Cut a few links so some pairs are disconnected or only reachable
+            // through a non-transit node.
+            let links: Vec<Link> = graph.links().collect();
+            for _ in 0..rng.gen_range(0..3usize) {
+                let link = links[rng.gen_range(0..links.len())];
+                graph.remove_link(link.a, link.b);
+            }
+            let nodes: Vec<NodeId> = graph.nodes().collect();
+            let non_transit: std::collections::BTreeSet<NodeId> = (0..rng.gen_range(0..5usize))
+                .map(|_| nodes[rng.gen_range(0..nodes.len())])
+                .collect();
+            for planner in [
+                FlowPlanner::new(1),
+                FlowPlanner::new(0).with_max_candidates(1),
+                FlowPlanner::new(2).with_max_candidates(3),
+            ] {
+                assert_eq!(
+                    planner.plan_restricted(&graph, &non_transit),
+                    reference_plan(&planner, &graph, &non_transit),
+                    "case {case}: {planner:?}, non-transit {non_transit:?}"
+                );
+            }
+        }
     }
 
     #[test]
