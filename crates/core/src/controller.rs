@@ -135,18 +135,8 @@ impl Controller {
             .fusion_graph(self.rounds.curr(), self.rounds.prev(), self.id, neighbors)
     }
 
-    /// The first-hop candidates (in priority order) this controller would use to reach
-    /// `dst`, according to its latest routing plan.
-    pub fn first_hop_candidates(&self, dst: NodeId) -> Vec<NodeId> {
-        self.plan
-            .next_hops(self.id, dst)
-            .map(|set| set.iter().collect())
-            .unwrap_or_default()
-    }
-
     /// The first plan candidate towards `dst` that is currently an observed
-    /// neighbor — the allocation-free routing decision
-    /// [`first_hop_candidates`](Controller::first_hop_candidates) is collected from.
+    /// neighbor: how this controller routes the packets it originates.
     pub fn first_hop(&self, dst: NodeId, neighbors: &[NodeId]) -> Option<NodeId> {
         self.plan
             .next_hops(self.id, dst)?
@@ -690,13 +680,14 @@ mod tests {
     }
 
     #[test]
-    fn first_hop_candidates_follow_the_plan() {
+    fn first_hop_follows_the_plan() {
         let mut c = Controller::new(n(0), config());
         let _ = c.iterate(&[n(1)]);
         run_discovery_round_trip(&mut c, &[(1, vec![0, 2]), (2, vec![1])]);
         let _ = c.iterate(&[n(1)]);
-        assert_eq!(c.first_hop_candidates(n(2)), vec![n(1)]);
-        assert!(c.first_hop_candidates(n(99)).is_empty());
+        assert_eq!(c.first_hop(n(2), &[n(1)]), Some(n(1)));
+        assert_eq!(c.first_hop(n(2), &[n(3)]), None);
+        assert_eq!(c.first_hop(n(99), &[n(1)]), None);
     }
 
     #[test]

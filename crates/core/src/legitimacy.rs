@@ -13,7 +13,8 @@
 //! until [`check`] returns an empty issue list".
 
 use crate::harness::SdnNetwork;
-use sdn_switch::forwarding;
+use crate::packet::{ControlPacket, Holder, Hop, PacketBody};
+use sdn_switch::CommandBatch;
 use sdn_topology::flat::NO_INDEX;
 use sdn_topology::{BfsScratch, FlatGraph, Graph, NodeId};
 use std::collections::BTreeSet;
@@ -44,8 +45,8 @@ impl LegitimacyReport {
 ///
 /// The operational graph is snapshot once into a [`FlatGraph`] and every
 /// reachability question — the per-controller switch-transit sets, the induced
-/// subgraphs, and the in-band routing walks — runs over that snapshot with a
-/// shared, reusable [`BfsScratch`] workspace.
+/// subgraphs, and the in-band routing walks of [`route_in_band`] — runs over that
+/// snapshot; the BFS runs share one reusable [`BfsScratch`] workspace.
 pub fn check(net: &SdnNetwork) -> LegitimacyReport {
     let mut report = LegitimacyReport::default();
     let operational = net.sim().operational_graph();
@@ -136,17 +137,16 @@ pub fn check(net: &SdnNetwork) -> LegitimacyReport {
 
     // Condition 3: in-band connectivity between every controller and every node it can
     // possibly reach without relaying through another controller.
-    let mut neighbor_buf: Vec<NodeId> = Vec::new();
     for (c, reach) in &transit {
         let c = *c;
         for &node in &reach.nodes {
             if node == c {
                 continue;
             }
-            if route_in_band_flat(net, &flat, c, node, &mut neighbor_buf).is_none() {
+            if route_in_band(net, &flat, c, node).is_none() {
                 report.push(format!("no in-band path from controller {c} to {node}"));
             }
-            if route_in_band_flat(net, &flat, node, c, &mut neighbor_buf).is_none() {
+            if route_in_band(net, &flat, node, c).is_none() {
                 report.push(format!(
                     "no in-band path from {node} back to controller {c}"
                 ));
@@ -220,110 +220,40 @@ impl TransitReach {
     }
 }
 
-/// Simulates the in-band forwarding of one packet from `from` to `to` over the current
-/// switch configurations and the operational graph, without mutating any state.
+/// Walks one probe packet from `from` to `to` over `operational` (a snapshot of the
+/// operational graph) and the installed rules, without mutating any state.
 ///
-/// Returns the traversed path, or `None` when the packet would be dropped. The walk
-/// reproduces exactly what [`crate::nodes::SwitchNode`] does: rule-based next hop with
-/// fast-failover priorities, direct-neighbor fallback, and DFS bounce-back.
+/// Every hop is `ControlPacket::step`, the rule the live nodes run, with the
+/// harness packet TTL and no hint. Returns the traversed path, bounce-backs included,
+/// or `None` when the packet would be dropped.
 pub fn route_in_band(
     net: &SdnNetwork,
-    operational: &Graph,
+    operational: &FlatGraph,
     from: NodeId,
     to: NodeId,
 ) -> Option<Vec<NodeId>> {
-    // Walks the graph directly — a single path probe does not amortize a CSR
-    // snapshot; the batch caller [`check`] uses the snapshot variant below.
-    route_in_band_impl(
-        net,
-        operational.node_count(),
-        |cur, buf| buf.extend(operational.neighbors(cur)),
-        from,
-        to,
-        &mut Vec::new(),
-    )
-}
-
-/// [`route_in_band`] over a prepared snapshot: the hot-path variant [`check`] uses,
-/// reading neighbor slices straight off the CSR rows into a reusable buffer.
-fn route_in_band_flat(
-    net: &SdnNetwork,
-    flat: &FlatGraph,
-    from: NodeId,
-    to: NodeId,
-    neighbor_buf: &mut Vec<NodeId>,
-) -> Option<Vec<NodeId>> {
-    route_in_band_impl(
-        net,
-        flat.node_count(),
-        |cur, buf| buf.extend(flat.neighbors(cur)),
-        from,
-        to,
-        neighbor_buf,
-    )
-}
-
-/// The shared in-band DFS walk, parameterized over the neighbor source.
-fn route_in_band_impl<F>(
-    net: &SdnNetwork,
-    node_count: usize,
-    mut fill_neighbors: F,
-    from: NodeId,
-    to: NodeId,
-    neighbor_buf: &mut Vec<NodeId>,
-) -> Option<Vec<NodeId>>
-where
-    F: FnMut(NodeId, &mut Vec<NodeId>),
-{
-    let ttl = 4 * node_count.max(4);
-    let mut visited: Vec<NodeId> = vec![from];
-    let mut trail: Vec<NodeId> = vec![from];
-    let mut path: Vec<NodeId> = vec![from];
-    let mut hops = 0usize;
-
-    while let Some(&cur) = trail.last() {
-        if cur == to {
-            return Some(path);
-        }
-        if hops >= ttl {
-            return None;
-        }
-        neighbor_buf.clear();
-        fill_neighbors(cur, neighbor_buf);
-        let neighbors: &[NodeId] = neighbor_buf;
-        let next = if let Some(controller) = net.controller(cur) {
-            // Controllers only originate packets; mid-path controllers never forward.
-            if cur == from {
-                controller
-                    .first_hop_candidates(to)
-                    .into_iter()
-                    .find(|h| neighbors.contains(h) && !visited.contains(h))
-                    .or_else(|| (neighbors.contains(&to) && !visited.contains(&to)).then_some(to))
-            } else {
-                None
-            }
-        } else if let Some(switch) = net.switch(cur) {
-            forwarding::decide(switch.rules(), from, to, &visited, neighbors, &mut |_| true)
-        } else {
-            None
+    let body = PacketBody::Commands(CommandBatch::new(from, Vec::new()));
+    let mut packet = ControlPacket::new(from, to, net.harness_config().packet_ttl, body);
+    let mut path = vec![from];
+    let mut neighbors = Vec::new();
+    let mut cur = from;
+    while cur != to {
+        neighbors.clear();
+        neighbors.extend(operational.neighbors(cur));
+        let holder = match net.controller(cur) {
+            Some(controller) => Holder::Controller {
+                controller,
+                hint: None,
+            },
+            None => Holder::Switch(net.switch(cur)?),
         };
-        match next {
-            Some(h) => {
-                visited.push(h);
-                trail.push(h);
-                path.push(h);
-                hops += 1;
-            }
-            None => {
-                trail.pop();
-                if let Some(&back) = trail.last() {
-                    path.push(back);
-                    hops += 1;
-                }
-            }
-        }
+        cur = match packet.step(holder, &neighbors) {
+            Hop::Forward(next) | Hop::Bounce(Some(next)) => next,
+            Hop::Bounce(None) | Hop::Drop => return None,
+        };
+        path.push(cur);
     }
-    None
+    Some(path)
 }
 
 #[cfg(test)]
@@ -363,15 +293,39 @@ mod tests {
         let sdn = bootstrapped_ring();
         let report = sdn.legitimacy_report();
         assert!(report.is_legitimate(), "issues: {:?}", report.issues);
-        let operational = sdn.sim().operational_graph();
+        let operational = sdn.sim().operational_graph().snapshot();
         let c = sdn.controller_ids()[0];
         for s in sdn.switch_ids() {
-            let path = route_in_band(&sdn, operational, c, s).expect("path to switch");
+            let path = route_in_band(&sdn, &operational, c, s).expect("path to switch");
             assert_eq!(*path.first().unwrap(), c);
             assert_eq!(*path.last().unwrap(), s);
-            let back = route_in_band(&sdn, operational, s, c).expect("path back");
+            let back = route_in_band(&sdn, &operational, s, c).expect("path back");
             assert_eq!(*back.last().unwrap(), c);
         }
+    }
+
+    #[test]
+    fn a_walk_never_relays_through_its_origin_controller() {
+        // Controller n0 hangs off switches n1 and n2 of a six-switch ring; its
+        // shortest way to n4 starts at n2.
+        let mut sdn = SdnNetwork::new(
+            builders::ring(6, 1),
+            ControllerConfig::for_network(1, 6),
+            HarnessConfig::default().with_task_delay(SimDuration::from_millis(100)),
+        );
+        sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120))
+            .expect("bootstrap");
+        let (c, dst) = (NodeId::new(0), NodeId::new(4));
+        let first = sdn
+            .controller(c)
+            .and_then(|ctrl| ctrl.first_hop(dst, sdn.sim().observed(c)))
+            .expect("first hop");
+        assert_eq!(first, NodeId::new(2));
+        sdn.switch_mut(first).unwrap().corrupt_clear();
+        // n2 bounces the packet back to n0. A live controller drops it rather than
+        // re-sending it through n1, so the oracle must find no path either.
+        let operational = sdn.sim().operational_graph().snapshot();
+        assert_eq!(route_in_band(&sdn, &operational, c, dst), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::config::HarnessConfig;
 use crate::controller::Controller;
-use crate::packet::{ControlPacket, PacketBody};
+use crate::packet::{ControlPacket, Holder, Hop, PacketBody};
 use sdn_netsim::{Context, Node, SimDuration, TimerId};
 use sdn_switch::AbstractSwitch;
 use sdn_topology::NodeId;
@@ -38,25 +38,21 @@ impl ControllerNode {
         }
     }
 
-    fn send_packet(
+    /// Runs the forwarding step on a packet this controller holds: one it
+    /// originates goes out, any other is dropped.
+    fn forward(
         &mut self,
         ctx: &mut Context<ControlPacket>,
         mut packet: ControlPacket,
         hint: Option<NodeId>,
     ) {
-        let dst = packet.dst;
-        packet.arrive_at(ctx.id());
-        // Prefer the flow plan's candidates, then a direct neighbor, then the hint
-        // (typically the neighbor an incoming query arrived from).
-        let neighbors = ctx.neighbors();
-        let first_hop = self
-            .controller
-            .first_hop(dst, neighbors)
-            .or_else(|| neighbors.contains(&dst).then_some(dst))
-            .or_else(|| hint.filter(|h| neighbors.contains(h)));
-        match first_hop {
-            Some(hop) => ctx.send(hop, packet),
-            None => self.unroutable_packets += 1,
+        let holder = Holder::Controller {
+            controller: &self.controller,
+            hint,
+        };
+        match packet.step(holder, ctx.neighbors()) {
+            Hop::Forward(hop) => ctx.send(hop, packet),
+            _ => self.unroutable_packets += 1,
         }
     }
 }
@@ -83,7 +79,7 @@ impl Node<ControlPacket> for ControllerNode {
                 self.packet_ttl,
                 PacketBody::Commands(batch),
             );
-            self.send_packet(ctx, packet, None);
+            self.forward(ctx, packet, None);
         }
         // Jitter the next iteration by up to +/-10% so controllers never run in lockstep
         // (the paper's execution model is fully asynchronous; a perfectly periodic
@@ -101,8 +97,8 @@ impl Node<ControlPacket> for ControllerNode {
         ctx: &mut Context<ControlPacket>,
     ) {
         if packet.dst != self.controller.id() {
-            // Controllers do not forward packets; the data plane must route around them.
-            self.unroutable_packets += 1;
+            // Not for this controller: the forwarding step drops it.
+            self.forward(ctx, packet, None);
             return;
         }
         match packet.body {
@@ -117,7 +113,7 @@ impl Node<ControlPacket> for ControllerNode {
                         self.packet_ttl,
                         PacketBody::Reply(reply),
                     );
-                    self.send_packet(ctx, packet, Some(from));
+                    self.forward(ctx, packet, Some(from));
                 }
             }
         }
@@ -147,27 +143,19 @@ impl SwitchNode {
     /// Forwards a packet that is not addressed to this switch (or a freshly created
     /// reply) using the data-plane rules, falling back to bounce-back when stuck.
     fn forward(&mut self, ctx: &mut Context<ControlPacket>, mut packet: ControlPacket) {
-        if !packet.consume_hop() {
-            self.undeliverable_packets += 1;
-            return;
-        }
-        packet.arrive_at(self.switch.id());
-        let decision = self.switch.next_hop(
-            packet.src,
-            packet.dst,
-            &packet.visited,
-            ctx.neighbors(),
-            |_| true,
-        );
-        match decision {
-            Some(hop) => ctx.send(hop, packet),
-            None => {
-                // Bounce back along the DFS trail (data-plane depth-first search).
-                match packet.bounce_back() {
-                    Some(back) if ctx.is_neighbor(back) => ctx.send(back, packet),
-                    _ => self.undeliverable_packets += 1,
+        match packet.step(Holder::Switch(&self.switch), ctx.neighbors()) {
+            Hop::Forward(hop) => {
+                self.switch.record_forwarding(true);
+                ctx.send(hop, packet);
+            }
+            Hop::Bounce(back) => {
+                self.switch.record_forwarding(false);
+                match back {
+                    Some(back) => ctx.send(back, packet),
+                    None => self.undeliverable_packets += 1,
                 }
             }
+            Hop::Drop => self.undeliverable_packets += 1,
         }
     }
 }

@@ -785,8 +785,8 @@ pub fn partition_cut(net: &SdnNetwork, spec: &PartitionSpec) -> Vec<(NodeId, Nod
 /// preferring links whose removal keeps the topology connected (the paper chooses a
 /// link "such that it enables a backup path").
 pub fn mid_path_link(net: &SdnNetwork, src: NodeId, dst: NodeId) -> Option<(NodeId, NodeId)> {
-    let operational = net.sim().operational_graph();
-    let path = legitimacy::route_in_band(net, operational, src, dst)?;
+    let operational = net.sim().operational_graph().snapshot();
+    let path = legitimacy::route_in_band(net, &operational, src, dst)?;
     if path.len() < 2 {
         return None;
     }

@@ -37,7 +37,9 @@
 //! ]);
 //! let reply = sw.apply_batch(&batch, &[NodeId::new(2), NodeId::new(4)]).unwrap();
 //! assert_eq!(reply.rules.len(), 1);
-//! let hop = sw.next_hop(NodeId::new(0), NodeId::new(7), &[], &[NodeId::new(2), NodeId::new(4)], |_| true);
+//! let hop = sdn_switch::forwarding::decide(
+//!     sw.rules(), NodeId::new(0), NodeId::new(7), &[], &[NodeId::new(2), NodeId::new(4)],
+//! );
 //! assert_eq!(hop, Some(NodeId::new(4)));
 //! ```
 

@@ -56,22 +56,12 @@ impl NextHopSet {
     pub fn is_empty(&self) -> bool {
         self.hops.is_empty()
     }
-
-    /// The first candidate whose out-link is reported operational by `is_up`,
-    /// mimicking a fast-failover group evaluation.
-    pub fn first_operational<F>(&self, mut is_up: F) -> Option<NodeId>
-    where
-        F: FnMut(NodeId) -> bool,
-    {
-        self.hops.iter().copied().find(|&h| is_up(h))
-    }
 }
 
 /// All-pairs kappa-fault-resilient next-hop plan over a topology snapshot.
 ///
-/// For every ordered pair `(at, towards)` of distinct nodes the plan stores a
-/// [`NextHopSet`]. Controllers derive their switch rules from this plan; the data-plane
-/// traffic model uses it directly to route host packets.
+/// For every ordered pair `(at, towards)` of distinct connected nodes the plan stores
+/// a [`NextHopSet`]. Controllers derive their switch rules from this plan.
 ///
 /// # Example
 ///
@@ -89,28 +79,13 @@ impl NextHopSet {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowPlan {
-    kappa: usize,
     next_hops: BTreeMap<(NodeId, NodeId), NextHopSet>,
-    distances: BTreeMap<(NodeId, NodeId), u32>,
 }
 
 impl FlowPlan {
-    /// The `kappa` this plan was computed for.
-    pub fn kappa(&self) -> usize {
-        self.kappa
-    }
-
     /// The next-hop set stored for packets at `at` going towards `towards`.
     pub fn next_hops(&self, at: NodeId, towards: NodeId) -> Option<&NextHopSet> {
         self.next_hops.get(&(at, towards))
-    }
-
-    /// The shortest-path distance between the pair, if connected.
-    pub fn distance(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        if from == to {
-            return Some(0);
-        }
-        self.distances.get(&(from, to)).copied()
     }
 
     /// Iterates over every `(at, towards)` pair with its next-hop set.
@@ -149,8 +124,8 @@ impl FlowPlan {
     /// covers all neighbors, the packet is guaranteed to reach its destination, which is
     /// how the paper obtains kappa-fault-resilient flows.
     ///
-    /// This is the reference semantics used by the property tests to check
-    /// kappa-fault resilience, and by the traffic model to route host packets.
+    /// This is the reference semantics the property tests use to check kappa-fault
+    /// resilience.
     pub fn route<F>(
         &self,
         from: NodeId,
@@ -297,17 +272,18 @@ impl FlowPlanner {
         // itself). Row `ti` holds every node's distance towards target `ti`,
         // `u32::MAX` (`NO_INDEX`) when unreached. Its entries for non-transit
         // nodes other than the target are never read: the candidate ranking skips
-        // them, and their own distance comes from their best candidate.
+        // them.
         let mut scratch = BfsScratch::new();
         let mut dist: Vec<u32> = Vec::with_capacity(n * n);
         for ti in 0..n {
             flat.bfs_filtered(ti as u32, &mut scratch, |u| !endpoint_only[u as usize]);
             dist.extend_from_slice(scratch.distances());
         }
-        // Assemble with `at` as the outer loop so both maps build from key-sorted
-        // pairs (one bulk construction each instead of per-pair tree inserts).
+        // Assemble with `at` as the outer loop so the map builds from key-sorted
+        // pairs (one bulk construction instead of per-pair tree inserts). A pair
+        // gets an entry exactly when some candidate is reachable: for a transit
+        // `at` that is when its own restricted distance is finite.
         let mut next_hops_v: Vec<((NodeId, NodeId), NextHopSet)> = Vec::new();
-        let mut distances_v: Vec<((NodeId, NodeId), u32)> = Vec::new();
         let mut candidates: Vec<(u32, NodeId)> = Vec::new();
         for ai in 0..n {
             let at = flat.node_at(ai as u32);
@@ -326,31 +302,16 @@ impl FlowPlanner {
                         candidates.push((d, flat.node_at(hi)));
                     }
                 }
-                candidates.sort();
-                // For transit-capable nodes the distance comes from the restricted
-                // BFS; endpoint-only nodes sit one hop above their best transit
-                // neighbor.
-                let d_at = if endpoint_only[ai] {
-                    candidates.first().map(|&(d, _)| d + 1)
-                } else {
-                    let d = dist[ti * n + ai];
-                    (d != u32::MAX).then_some(d)
-                };
-                let Some(d_at) = d_at else {
+                if candidates.is_empty() {
                     continue; // disconnected pair under the transit restriction
-                };
-                distances_v.push(((at, target), d_at));
-                if !candidates.is_empty() {
-                    let hops: Vec<NodeId> =
-                        candidates.iter().take(limit).map(|&(_, h)| h).collect();
-                    next_hops_v.push(((at, target), NextHopSet::new(hops)));
                 }
+                candidates.sort();
+                let hops: Vec<NodeId> = candidates.iter().take(limit).map(|&(_, h)| h).collect();
+                next_hops_v.push(((at, target), NextHopSet::new(hops)));
             }
         }
         FlowPlan {
-            kappa: self.kappa,
             next_hops: next_hops_v.into_iter().collect(),
-            distances: distances_v.into_iter().collect(),
         }
     }
 }
@@ -384,8 +345,7 @@ mod tests {
         // equal distance wins, so primary hop is 1.
         let hops = plan.next_hops(n(0), n(3)).unwrap();
         assert_eq!(hops.primary(), Some(n(1)));
-        assert_eq!(plan.distance(n(0), n(3)), Some(2));
-        assert_eq!(plan.distance(n(3), n(3)), Some(0));
+        assert_eq!(plan.route(n(0), n(3), |_, _| true, 16).unwrap().len(), 3);
     }
 
     #[test]
@@ -470,7 +430,6 @@ mod tests {
         let plan = FlowPlanner::new(1).plan(&g);
         assert!(plan.next_hops(n(0), n(9)).is_none());
         assert!(plan.route(n(0), n(9), |_, _| true, 16).is_none());
-        assert_eq!(plan.distance(n(0), n(9)), None);
     }
 
     #[test]
@@ -510,14 +469,13 @@ mod tests {
             !path.contains(&n(9)),
             "path {path:?} relays through a controller"
         );
-        assert_eq!(plan.distance(n(0), n(4)), Some(4));
+        assert_eq!(path, vec![n(0), n(1), n(2), n(3), n(4)]);
         // Node 9 can still be an endpoint: flows towards it exist.
         let to_nine = plan.next_hops(n(0), n(9)).unwrap();
         assert_eq!(to_nine.primary(), Some(n(9)));
         // And node 9 (as a source endpoint) has next hops towards 4 that avoid itself.
         let from_nine = plan.next_hops(n(9), n(4)).unwrap();
-        assert!(from_nine.primary().is_some());
-        assert_eq!(plan.distance(n(9), n(4)), Some(1));
+        assert_eq!(from_nine.primary(), Some(n(4)));
     }
 
     /// The planner as first written: per-target graph clones without the other
@@ -559,7 +517,6 @@ mod tests {
             }
         }
         let mut next_hops = BTreeMap::new();
-        let mut distances = BTreeMap::new();
         for ai in 0..n {
             for ti in (0..n).filter(|&ti| ti != ai) {
                 let mut candidates: Vec<(u32, NodeId)> = full
@@ -570,27 +527,17 @@ mod tests {
                     .filter(|&(d, _)| d != u32::MAX)
                     .collect();
                 candidates.sort();
-                let d_at = if endpoint_only[ai] {
-                    candidates.first().map(|&(d, _)| d + 1)
-                } else {
-                    Some(dist[ti * n + ai]).filter(|&d| d != u32::MAX)
-                };
-                let Some(d_at) = d_at else {
-                    continue;
-                };
-                let key = (full.node_at(ai as u32), full.node_at(ti as u32));
-                distances.insert(key, d_at);
-                if !candidates.is_empty() {
+                // As first written, a transit `at` also needs a finite distance of
+                // its own; the planner relies on that following from a candidate.
+                let connected = endpoint_only[ai] || dist[ti * n + ai] != u32::MAX;
+                if connected && !candidates.is_empty() {
+                    let key = (full.node_at(ai as u32), full.node_at(ti as u32));
                     let hops = candidates.iter().take(limit).map(|&(_, h)| h).collect();
                     next_hops.insert(key, NextHopSet::new(hops));
                 }
             }
         }
-        FlowPlan {
-            kappa: planner.kappa,
-            next_hops,
-            distances,
-        }
+        FlowPlan { next_hops }
     }
 
     #[test]
@@ -637,10 +584,8 @@ mod tests {
     }
 
     #[test]
-    fn next_hop_set_first_operational() {
+    fn next_hop_set_accessors() {
         let set = NextHopSet::new(vec![n(1), n(2), n(3)]);
-        assert_eq!(set.first_operational(|h| h == n(2)), Some(n(2)));
-        assert_eq!(set.first_operational(|_| false), None);
         assert_eq!(set.iter().count(), 3);
         assert!(!set.is_empty());
     }

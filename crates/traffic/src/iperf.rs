@@ -8,47 +8,18 @@
 //! the pre-installed backup paths carry the traffic. Either way the data plane fails
 //! over locally, so the throughput only dips briefly.
 //!
-//! Two entry points expose the model:
-//!
-//! * [`IperfWorkload`] — a [`Workload`](renaissance::scenario::Workload) for the
-//!   declarative scenario API: the runner drives the ticks, the mid-path failure is a
-//!   [`FaultEvent`](renaissance::scenario::FaultEvent) on the schedule, and the
-//!   "without recovery" mode is the scenario's
-//!   [`ControlPlane::Frozen`](renaissance::scenario::ControlPlane::Frozen),
-//! * [`run_throughput_experiment`] — the self-contained escape hatch driving an
-//!   [`SdnNetwork`] directly (used by this crate's tests and available to ad-hoc
-//!   experiments).
+//! [`IperfWorkload`] exposes the model as a
+//! [`Workload`](renaissance::scenario::Workload) for the declarative scenario API: the
+//! runner drives the ticks, the mid-path failure is a
+//! [`FaultEvent`](renaissance::scenario::FaultEvent) on the schedule, and the "without
+//! recovery" mode is the scenario's
+//! [`ControlPlane::Frozen`](renaissance::scenario::ControlPlane::Frozen).
 
 use crate::reno::{PathEvent, RenoConfig, RenoConnection, StepOutcome};
-use renaissance::scenario::{mid_path_link, Endpoints, Workload, WorkloadReport, WorkloadTick};
+use renaissance::scenario::{Endpoints, Workload, WorkloadReport, WorkloadTick};
 use renaissance::{legitimacy, SdnNetwork};
 use sdn_netsim::SimDuration;
 use sdn_topology::{paths, NodeId};
-
-/// Parameters of one throughput experiment.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IperfConfig {
-    /// Total duration in seconds (the paper uses 30).
-    pub duration_secs: u32,
-    /// The second at which the link failure is injected (the paper uses 10).
-    pub failure_at_secs: u32,
-    /// Whether the controllers keep repairing flows after the failure
-    /// (`true` = Figure 15, `false` = Figure 16).
-    pub recovery_enabled: bool,
-    /// TCP model parameters.
-    pub reno: RenoConfig,
-}
-
-impl Default for IperfConfig {
-    fn default() -> Self {
-        IperfConfig {
-            duration_secs: 30,
-            failure_at_secs: 10,
-            recovery_enabled: true,
-            reno: RenoConfig::default(),
-        }
-    }
-}
 
 /// Result of one throughput experiment: per-second series, exactly the quantities the
 /// paper plots in Figures 15, 16, 18, 19, and 20.
@@ -56,8 +27,6 @@ impl Default for IperfConfig {
 pub struct IperfRun {
     /// The two endpoints the flow ran between.
     pub endpoints: (NodeId, NodeId),
-    /// The link that was failed at `failure_at_secs`.
-    pub failed_link: Option<(NodeId, NodeId)>,
     /// Per-second goodput in Mbit/s.
     pub throughput_mbps: Vec<f64>,
     /// Per-second retransmission percentage.
@@ -95,8 +64,7 @@ pub fn farthest_switch_pair(sdn: &SdnNetwork) -> Option<(NodeId, NodeId)> {
 }
 
 /// The per-tick core of the iperf experiment: observes the in-band data-plane path,
-/// steps the Reno model, and accumulates the per-second series. Shared between the
-/// scenario [`IperfWorkload`] and the self-driving [`run_throughput_experiment`].
+/// steps the Reno model, and accumulates the per-second series.
 #[derive(Clone, Debug)]
 struct IperfFlow {
     reno: RenoConnection,
@@ -142,37 +110,10 @@ impl IperfFlow {
     }
 }
 
-/// Runs the throughput experiment on an already-bootstrapped network.
-///
-/// The data packets follow the same in-band forwarding semantics as the control plane:
-/// highest-priority applicable rule, local fast-failover, bounce-back. The TCP model is
-/// driven by whether the path exists and whether it changed since the previous second.
-pub fn run_throughput_experiment(
-    sdn: &mut SdnNetwork,
-    src: NodeId,
-    dst: NodeId,
-    config: IperfConfig,
-) -> IperfRun {
-    let mut flow = IperfFlow::new(sdn, src, dst, config.reno);
-    for second in 0..config.duration_secs {
-        if second == config.failure_at_secs {
-            flow.run.failed_link = mid_path_link(sdn, src, dst).map(|(a, b)| {
-                sdn.remove_link(a, b);
-                (a, b)
-            });
-        }
-        if config.recovery_enabled {
-            sdn.run_for(SimDuration::from_secs(1));
-        }
-        flow.observe_second(sdn);
-    }
-    flow.run
-}
-
 /// The data-plane path currently taken by packets from `src` to `dst`, or `None`.
 fn current_path(sdn: &SdnNetwork, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    let operational = sdn.sim().operational_graph();
-    legitimacy::route_in_band(sdn, operational, src, dst)
+    let operational = sdn.sim().operational_graph().snapshot();
+    legitimacy::route_in_band(sdn, &operational, src, dst)
 }
 
 /// The iperf experiment as a scenario [`Workload`].
@@ -246,7 +187,6 @@ impl IperfWorkload {
         };
         Some(IperfRun {
             endpoints: (parse("src")?, parse("dst")?),
-            failed_link: None,
             throughput_mbps: report.series("throughput_mbps")?.to_vec(),
             retransmission_pct: report.series("retransmission_pct")?.to_vec(),
             bad_tcp_pct: report.series("bad_tcp_pct")?.to_vec(),
@@ -324,54 +264,6 @@ mod tests {
         sdn.run_until_legitimate(SimDuration::from_millis(500), SimDuration::from_secs(300))
             .expect("bootstrap B4");
         sdn
-    }
-
-    #[test]
-    fn throughput_experiment_shows_failure_dip_and_recovery() {
-        let mut sdn = bootstrapped_b4();
-        let (src, dst) = farthest_switch_pair(&sdn).expect("farthest pair");
-        let config = IperfConfig {
-            duration_secs: 20,
-            failure_at_secs: 8,
-            recovery_enabled: true,
-            ..IperfConfig::default()
-        };
-        let run = run_throughput_experiment(&mut sdn, src, dst, config);
-        assert_eq!(run.throughput_mbps.len(), 20);
-        assert!(run.failed_link.is_some(), "a mid-path link must fail");
-        // Steady state before the failure.
-        let before = run.throughput_mbps[7];
-        assert!(before > 200.0, "pre-failure throughput {before}");
-        // The retransmission burst happens at / right after the failure second.
-        let burst: f64 = run.retransmission_pct[8..=10.min(run.retransmission_pct.len() - 1)]
-            .iter()
-            .copied()
-            .fold(0.0, f64::max);
-        assert!(burst > 0.0, "failure must cause retransmissions");
-        // The flow keeps running: the last seconds are back near the pre-failure rate.
-        let after = *run.throughput_mbps.last().unwrap();
-        assert!(after > before * 0.8, "after {after} vs before {before}");
-        assert!(run.min_throughput() <= before);
-        assert!(run.mean_throughput() > 0.0);
-    }
-
-    #[test]
-    fn no_recovery_still_survives_thanks_to_backup_paths() {
-        let mut sdn = bootstrapped_b4();
-        let (src, dst) = farthest_switch_pair(&sdn).expect("farthest pair");
-        let config = IperfConfig {
-            duration_secs: 16,
-            failure_at_secs: 6,
-            recovery_enabled: false,
-            ..IperfConfig::default()
-        };
-        let run = run_throughput_experiment(&mut sdn, src, dst, config);
-        assert!(run.failed_link.is_some());
-        let after = *run.throughput_mbps.last().unwrap();
-        assert!(
-            after > 100.0,
-            "backup paths must keep the flow alive without controller help, got {after}"
-        );
     }
 
     #[test]

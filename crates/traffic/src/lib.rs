@@ -18,23 +18,22 @@
 //! # Example
 //!
 //! ```
-//! use renaissance::{ControllerConfig, HarnessConfig, SdnNetwork};
+//! use renaissance::scenario::{Endpoints, FaultEvent, LinkSelector, Scenario};
 //! use sdn_netsim::SimDuration;
 //! use sdn_topology::builders;
-//! use sdn_traffic::iperf::{self, IperfConfig};
+//! use sdn_traffic::iperf::IperfWorkload;
 //!
-//! let mut sdn = SdnNetwork::new(
-//!     builders::ring(6, 2),
-//!     ControllerConfig::for_network(2, 6),
-//!     HarnessConfig::default().with_task_delay(SimDuration::from_millis(100)),
-//! );
-//! sdn.run_until_legitimate(SimDuration::from_millis(100), SimDuration::from_secs(120)).unwrap();
-//! let (src, dst) = iperf::farthest_switch_pair(&sdn).unwrap();
-//! let run = iperf::run_throughput_experiment(&mut sdn, src, dst, IperfConfig {
-//!     duration_secs: 12,
-//!     failure_at_secs: 5,
-//!     ..IperfConfig::default()
-//! });
+//! let report = Scenario::builder("iperf")
+//!     .topology(builders::ring(6, 2))
+//!     .task_delay(SimDuration::from_millis(100))
+//!     .workload(|| Box::new(IperfWorkload::farthest(12)))
+//!     .fault_at(
+//!         SimDuration::from_secs(5),
+//!         FaultEvent::RemoveLink(LinkSelector::MidPath(Endpoints::FarthestSwitches)),
+//!     )
+//!     .run();
+//! let iperf = report.runs[0].workload("iperf").expect("workload report");
+//! let run = IperfWorkload::run_from_report(iperf).expect("typed run");
 //! assert_eq!(run.throughput_mbps.len(), 12);
 //! ```
 
@@ -50,8 +49,6 @@ pub use engine::{
     generate, Arrival, EngineConfig, FanOut, FctCollector, FctSummary, FlowBatch, FlowEngine,
     FlowEngineWorkload, FlowId, FlowMix, FlowSetConfig, FlowSpec, TrafficMatrix,
 };
-pub use iperf::{
-    farthest_switch_pair, run_throughput_experiment, IperfConfig, IperfRun, IperfWorkload,
-};
+pub use iperf::{farthest_switch_pair, IperfRun, IperfWorkload};
 pub use reno::{PathEvent, RenoConfig, RenoConnection};
 pub use stats::{throughput_correlation, Series};

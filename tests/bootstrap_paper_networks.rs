@@ -42,15 +42,15 @@ fn b4_bootstraps_and_every_switch_is_fully_managed() {
 #[test]
 fn clos_bootstrap_installs_bidirectional_inband_paths() {
     let (sdn, _) = bootstrap("Clos", 3);
-    let operational = sdn.sim().operational_graph();
+    let operational = sdn.sim().operational_graph().snapshot();
     for controller in sdn.controller_ids() {
-        for node in operational.nodes() {
+        for &node in operational.node_ids() {
             if node == controller {
                 continue;
             }
             let forward =
-                renaissance::legitimacy::route_in_band(&sdn, operational, controller, node);
-            let back = renaissance::legitimacy::route_in_band(&sdn, operational, node, controller);
+                renaissance::legitimacy::route_in_band(&sdn, &operational, controller, node);
+            let back = renaissance::legitimacy::route_in_band(&sdn, &operational, node, controller);
             assert!(forward.is_some(), "no path {controller} -> {node}");
             assert!(back.is_some(), "no path {node} -> {controller}");
         }

@@ -91,11 +91,11 @@ fn non_adaptive_variant_also_bootstraps_and_survives_controller_failure() {
         "non-adaptive variant must not clean up stale rules"
     );
     // Live controllers still reach every switch in-band.
-    let operational = sdn.sim().operational_graph();
+    let operational = sdn.sim().operational_graph().snapshot();
     for controller in sdn.live_controller_ids() {
         for switch in sdn.live_switch_ids() {
             assert!(
-                renaissance::legitimacy::route_in_band(&sdn, operational, controller, switch)
+                renaissance::legitimacy::route_in_band(&sdn, &operational, controller, switch)
                     .is_some(),
                 "no path {controller} -> {switch} under the non-adaptive variant"
             );
